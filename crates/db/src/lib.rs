@@ -546,6 +546,9 @@ mod tests {
         // physical order compaction produced.
         assert_eq!(db.job_ids(), (0..13).collect::<Vec<u64>>());
         assert_eq!(db.query().job(7).count(), db.rows_for_job(7).len());
+        // Dropping the database joins its background compactor, which
+        // would otherwise race the unlink below.
+        drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,23 +10,27 @@
 //!    input) and would otherwise inflate scores.
 //! 3. The two signatures must share at least one 7-character substring
 //!    (the width of the rolling window); without that the match is noise.
-//! 4. A weighted Damerau–Levenshtein distance (insert/delete 1,
-//!    substitute 3, transpose 5 — the original spamsum weights) is scaled
-//!    into 0–100, where 100 means effectively identical.
+//! 4. The edit distance between them is scaled into 0–100, where 100
+//!    means effectively identical. spamsum weighs edits as insert/delete
+//!    1, substitute 3, transpose 5; since a substitution costs more than
+//!    a delete plus an insert, and a transposition more than the two
+//!    indels that achieve it, that weighted Damerau–Levenshtein distance
+//!    is the indel distance `n + m − 2·LCS`.
 //! 5. For small block sizes the score is capped: short signatures of
 //!    common block sizes can collide by chance, so their evidence is
 //!    weaker.
+//!
+//! A signature is at most 64 bytes, so it fits one `u64` bit-vector. One
+//! 256-entry table of match masks per comparison drives both the 7-gram
+//! gate (seven rolling masks, shift-and) and the LCS (Hyyrö's
+//! bit-parallel recurrence, "Bit-parallel LCS-length computation
+//! revisited", 2004); collapsed signatures live in stack buffers, so
+//! [`compare_parsed`] never allocates.
 
 use crate::{FuzzyHash, ParseError, MIN_BLOCKSIZE, ROLLING_WINDOW, SPAMSUM_LENGTH};
 
-/// Cost of inserting one character.
-pub const COST_INSERT: u32 = 1;
-/// Cost of deleting one character.
-pub const COST_DELETE: u32 = 1;
-/// Cost of substituting one character.
-pub const COST_SUBSTITUTE: u32 = 3;
-/// Cost of transposing two adjacent characters.
-pub const COST_TRANSPOSE: u32 = 5;
+/// Pattern bytes one [`MatchMasks`] holds: one bit each in a `u64`.
+const WORD: usize = u64::BITS as usize;
 
 /// Compare two textual fuzzy hashes. Errors if either fails to parse.
 pub fn compare(a: &str, b: &str) -> Result<u32, ParseError> {
@@ -48,123 +52,175 @@ pub fn compare_parsed(a: &FuzzyHash, b: &FuzzyHash) -> u32 {
         return 0;
     }
 
-    let a1 = eliminate_sequences(&a.sig1);
-    let a2 = eliminate_sequences(&a.sig2);
-    let b1 = eliminate_sequences(&b.sig1);
-    let b2 = eliminate_sequences(&b.sig2);
-
     if bs1 == bs2 {
-        let s1 = score_strings(&a1, &b1, bs1);
-        let s2 = score_strings(&a2, &b2, bs1 * 2);
+        let s1 = score_signatures(&a.sig1, &b.sig1, bs1);
+        let s2 = score_signatures(&a.sig2, &b.sig2, bs1.wrapping_mul(2));
         s1.max(s2)
-    } else if bs1 == bs2 * 2 {
+    } else if bs1 == bs2.wrapping_mul(2) {
         // a's primary signature is at b's doubled block size.
-        score_strings(&a1, &b2, bs1)
+        score_signatures(&a.sig1, &b.sig2, bs1)
     } else {
-        score_strings(&a2, &b1, bs2)
+        score_signatures(&a.sig2, &b.sig1, bs2)
     }
 }
 
-/// Collapse runs of more than three identical characters to exactly three.
-pub fn eliminate_sequences(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = String::with_capacity(s.len());
+/// Run-collapse two raw signatures into stack buffers and score them. A
+/// signature still longer than [`SPAMSUM_LENGTH`] after collapsing
+/// scores 0, as in [`score_strings`].
+fn score_signatures(s1: &str, s2: &str, block_size: u32) -> u32 {
+    let (mut buf1, mut buf2) = ([0u8; SPAMSUM_LENGTH], [0u8; SPAMSUM_LENGTH]);
+    match (
+        collapse_into(s1.as_bytes(), &mut buf1),
+        collapse_into(s2.as_bytes(), &mut buf2),
+    ) {
+        (Some(c1), Some(c2)) => score_bytes(c1, c2, block_size),
+        _ => 0,
+    }
+}
+
+/// The bytes of `s` with every run of more than three identical bytes cut
+/// to three.
+fn collapsed(s: &[u8]) -> impl Iterator<Item = u8> + '_ {
     let mut run = 0usize;
     let mut prev = 0u8;
-    for &c in bytes {
+    s.iter().copied().filter(move |&c| {
         if c == prev {
             run += 1;
         } else {
             run = 1;
             prev = c;
         }
-        if run <= 3 {
-            out.push(c as char);
-        }
+        run <= 3
+    })
+}
+
+/// [`collapsed`] written into `buf`; `None` when it does not fit.
+fn collapse_into<'b>(s: &[u8], buf: &'b mut [u8; SPAMSUM_LENGTH]) -> Option<&'b [u8]> {
+    let mut len = 0;
+    for c in collapsed(s) {
+        *buf.get_mut(len)? = c;
+        len += 1;
     }
+    Some(&buf[..len])
+}
+
+/// Collapse runs of more than three identical characters to exactly three.
+pub fn eliminate_sequences(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    out.extend(collapsed(s.as_bytes()).map(char::from));
     out
+}
+
+/// Match masks of a pattern of at most [`WORD`] bytes: bit `i` of
+/// `masks[c]` is set where byte `i` of the pattern is `c`.
+struct MatchMasks {
+    masks: [u64; 256],
+}
+
+impl MatchMasks {
+    fn new(pattern: &[u8]) -> Self {
+        assert!(pattern.len() <= WORD, "pattern exceeds one match-mask word");
+        let mut masks = [0u64; 256];
+        for (i, &c) in pattern.iter().enumerate() {
+            masks[usize::from(c)] |= 1 << i;
+        }
+        Self { masks }
+    }
+
+    /// Does `text` share a [`ROLLING_WINDOW`]-byte substring with the
+    /// pattern? After reading a text byte, bit `i` of `grams[k]` is set
+    /// when pattern bytes `i − k ..= i` equal the last `k + 1` text bytes.
+    fn shares_gram(&self, text: &[u8]) -> bool {
+        let mut grams = [0u64; ROLLING_WINDOW];
+        for &c in text {
+            let m = self.masks[usize::from(c)];
+            for k in (1..ROLLING_WINDOW).rev() {
+                grams[k] = (grams[k - 1] << 1) & m;
+            }
+            grams[0] = m;
+            if grams[ROLLING_WINDOW - 1] != 0 {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Longest-common-subsequence length of the pattern and `text`
+    /// (Hyyrö 2004): each zero bit of `v` marks a pattern position that
+    /// ends one more step of the LCS; bits past the pattern stay set.
+    ///
+    /// A pattern longer than one word runs as consecutive 64-byte blocks,
+    /// low block first, whose additions carry into the next block:
+    /// `carries` holds one bit per text byte, on entry the previous
+    /// block's carries out (zero for the first) and on return this
+    /// block's. An empty `carries` is a pattern with no other block.
+    fn lcs(&self, text: &[u8], carries: &mut [u64]) -> usize {
+        let mut v = !0u64;
+        for (j, &c) in text.iter().enumerate() {
+            let u = v & self.masks[usize::from(c)];
+            let (word, bit) = (j / WORD, j % WORD);
+            let carry_in = carries.get(word).map_or(0, |w| (w >> bit) & 1);
+            let (sum, c1) = v.overflowing_add(u);
+            let (sum, c2) = sum.overflowing_add(carry_in);
+            if let Some(w) = carries.get_mut(word) {
+                *w = (*w & !(1 << bit)) | (u64::from(c1 | c2) << bit);
+            }
+            v = sum | (v & !u);
+        }
+        (!v).count_ones() as usize
+    }
 }
 
 /// Do `s1` and `s2` share a common substring of at least
 /// [`ROLLING_WINDOW`] characters?
 pub fn has_common_substring(s1: &str, s2: &str) -> bool {
-    if s1.len() < ROLLING_WINDOW || s2.len() < ROLLING_WINDOW {
-        return false;
-    }
-    let b1 = s1.as_bytes();
-    let b2 = s2.as_bytes();
-    // Hash the 7-grams of the shorter string into a set, probe the other.
-    let (small, big) = if b1.len() <= b2.len() {
-        (b1, b2)
-    } else {
-        (b2, b1)
-    };
-    let grams: std::collections::HashSet<&[u8]> = small.windows(ROLLING_WINDOW).collect();
-    big.windows(ROLLING_WINDOW).any(|w| grams.contains(w))
+    let (a, b) = (s1.as_bytes(), s2.as_bytes());
+    // Windows of `a` one word wide overlapping by a gram less one byte:
+    // every gram of `a` lies whole inside one of them.
+    let step = WORD - (ROLLING_WINDOW - 1);
+    (0..a.len().saturating_sub(ROLLING_WINDOW - 1))
+        .step_by(step)
+        .any(|start| MatchMasks::new(&a[start..a.len().min(start + WORD)]).shares_gram(b))
 }
 
-/// Weighted Damerau–Levenshtein distance with spamsum's costs.
-///
-/// Note: with substitute cost 3 > insert + delete, a substitution is never
-/// cheaper than delete-then-insert, and transpose cost 5 is likewise never
-/// chosen — this matches spamsum, whose weights effectively reduce the
-/// metric to an insert/delete distance. The full recurrence is kept so the
-/// costs are honest tunables.
+/// spamsum's edit distance: insert/delete 1, substitute 3, transpose 5,
+/// which is the indel distance `n + m − 2·LCS` (a substitution or a
+/// transposition is never cheaper than the indels that achieve it),
+/// computed bit-parallel one 64-byte block of `s1` at a time.
 pub fn edit_distance(s1: &str, s2: &str) -> u32 {
-    let a = s1.as_bytes();
-    let b = s2.as_bytes();
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m as u32 * COST_INSERT;
-    }
-    if m == 0 {
-        return n as u32 * COST_DELETE;
-    }
-
-    // Three rolling rows suffice for the transposition lookback.
-    let width = m + 1;
-    let mut prev2 = vec![0u32; width];
-    let mut prev = vec![0u32; width];
-    let mut cur = vec![0u32; width];
-
-    for (j, p) in prev.iter_mut().enumerate() {
-        *p = j as u32 * COST_INSERT;
-    }
-
-    for i in 1..=n {
-        cur[0] = i as u32 * COST_DELETE;
-        for j in 1..=m {
-            let mut best = prev[j] + COST_DELETE;
-            best = best.min(cur[j - 1] + COST_INSERT);
-            let sub = if a[i - 1] == b[j - 1] {
-                0
-            } else {
-                COST_SUBSTITUTE
-            };
-            best = best.min(prev[j - 1] + sub);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(prev2[j - 2] + COST_TRANSPOSE);
-            }
-            cur[j] = best;
-        }
-        std::mem::swap(&mut prev2, &mut prev);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m]
+    let (a, b) = (s1.as_bytes(), s2.as_bytes());
+    // Carries pass between blocks only when `a` spans more than one, so
+    // a one-word `a` allocates nothing.
+    let carry_words = if a.len() > WORD {
+        b.len().div_ceil(WORD)
+    } else {
+        0
+    };
+    let mut carries = vec![0u64; carry_words];
+    let lcs: usize = a
+        .chunks(WORD)
+        .map(|block| MatchMasks::new(block).lcs(b, &mut carries))
+        .sum();
+    (a.len() + b.len() - 2 * lcs) as u32
 }
 
 /// Score two signature strings that were produced at block size
 /// `block_size`. 0 if the evidence gate fails; otherwise 0–100.
 pub fn score_strings(s1: &str, s2: &str, block_size: u32) -> u32 {
+    score_bytes(s1.as_bytes(), s2.as_bytes(), block_size)
+}
+
+fn score_bytes(s1: &[u8], s2: &[u8], block_size: u32) -> u32 {
     if s1.len() > SPAMSUM_LENGTH || s2.len() > SPAMSUM_LENGTH {
         return 0;
     }
-    if !has_common_substring(s1, s2) {
+    let masks = MatchMasks::new(s1);
+    if !masks.shares_gram(s2) {
         return 0;
     }
 
-    let d = u64::from(edit_distance(s1, s2));
     let total_len = (s1.len() + s2.len()) as u64;
+    let d = total_len - 2 * masks.lcs(s2, &mut []) as u64;
 
     // Scale the distance by signature length into 0..100 as spamsum does
     // (two integer divisions, preserved faithfully).
@@ -205,6 +261,12 @@ mod tests {
         assert!(!has_common_substring("abcdef", "abcdef")); // < 7 chars
         assert!(has_common_substring("XXabcdefgYY", "abcdefg"));
         assert!(!has_common_substring("abcdefg", "gfedcba"));
+        // Past one word: the shared gram straddles the first 64-byte
+        // window of `long`.
+        let long = format!("{}abcdefg{}", "x".repeat(60), "y".repeat(40));
+        assert!(has_common_substring(&long, "--abcdefg--"));
+        assert!(has_common_substring("--abcdefg--", &long));
+        assert!(!has_common_substring(&long, "--abcdeXg--"));
     }
 
     #[test]
@@ -253,6 +315,20 @@ mod tests {
             sig2: "ABCD".into(),
         };
         assert_eq!(compare_parsed(&a, &b), 0);
+    }
+
+    #[test]
+    fn largest_block_size_doubles_without_overflow() {
+        // 3·2^30 is the largest block size a parse accepts; its doubled
+        // block size wraps exactly as the block-size gate's does.
+        let a = FuzzyHash::parse("3221225472:ABCDEFGHIJ:KLMNOPQ").unwrap();
+        let b = FuzzyHash::parse("3221225472:ABCDEFGHIX:KLMNOPZ").unwrap();
+        // sig1s: indel distance 2 over 20 bytes → 91; sig2s share no gram.
+        assert_eq!(compare_parsed(&a, &b), 91);
+        assert_eq!(compare_parsed(&b, &a), 91);
+        let half = FuzzyHash::parse("1610612736:ABCDEFGHIJ:ABCDEFGHIJ").unwrap();
+        assert_eq!(compare_parsed(&a, &half), 100);
+        assert_eq!(compare_parsed(&half, &a), 100);
     }
 
     #[test]
@@ -330,6 +406,31 @@ mod tests {
     fn score_strings_rejects_overlong() {
         let long = "A".repeat(65);
         assert_eq!(score_strings(&long, &long, 3), 0);
+    }
+
+    #[test]
+    fn overlong_signature_scores_by_its_collapsed_length() {
+        // 68 raw bytes collapse to 64 and still score; 65 distinct bytes
+        // stay over the limit and score 0.
+        const ALPHABET: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+        let sig = |tail: &str| format!("{}{tail}", &ALPHABET[..58]);
+        let fits = FuzzyHash {
+            block_size: 96,
+            sig1: sig("xxxxxxxyz+"),
+            sig2: String::new(),
+        };
+        let other = FuzzyHash {
+            block_size: 96,
+            sig1: sig("xxxyz+"),
+            sig2: "Q".into(),
+        };
+        assert_eq!(eliminate_sequences(&fits.sig1).len(), 64);
+        assert_eq!(compare_parsed(&fits, &other), 100);
+        let over = FuzzyHash {
+            sig1: ALPHABET.chars().chain(['A']).collect(),
+            ..fits.clone()
+        };
+        assert_eq!(compare_parsed(&over, &other), 0);
     }
 
     #[test]

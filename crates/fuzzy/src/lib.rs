@@ -25,9 +25,11 @@
 //!
 //! ## Comparison
 //!
-//! [`compare`] scores two fuzzy hashes 0–100 using a weighted
+//! [`compare`] scores two fuzzy hashes 0–100 using spamsum's weighted
 //! Damerau–Levenshtein distance over the signature strings, gated by a
 //! common 7-gram requirement, exactly as described in §2.1 of the paper.
+//! Those weights make the distance an indel distance, which the
+//! `compare` module computes bit-parallel without allocating.
 //! That same gate powers [`FuzzyIndex`] (the `index` module): an
 //! inverted 7-gram index that prunes similarity-search candidates to
 //! the entries that could possibly score above 0, with a guaranteed-
@@ -46,9 +48,10 @@
 //! Note: agreement with the *reference C ssdeep binary* is not asserted
 //! anywhere (no vectors available offline); the two independent in-repo
 //! implementations and the invariant suite stand in for that. The edit
-//! distance uses the original spamsum weights (insert/delete 1,
+//! distance equals the original spamsum weights' (insert/delete 1,
 //! substitute 3, transpose 5), matching the paper's description of
-//! Damerau–Levenshtein comparison.
+//! Damerau–Levenshtein comparison; `tests/properties.rs` checks it
+//! against that weighted recurrence.
 
 pub mod batch;
 pub mod compare;

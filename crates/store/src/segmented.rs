@@ -687,8 +687,11 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
         drop(b);
-        let (_b, recovered, _) = SegmentedBackend::<TestItem>::open(&dir, opts).unwrap();
+        let (b, recovered, _) = SegmentedBackend::<TestItem>::open(&dir, opts).unwrap();
         assert_eq!(sorted(recovered), items(0..400));
+        // The reopened backend's compactor must be joined before the
+        // unlink, or a pass can write into the directory being removed.
+        drop(b);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

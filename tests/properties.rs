@@ -2,6 +2,7 @@
 //! for *arbitrary* inputs, not just the simulated campaign.
 
 use proptest::prelude::*;
+use proptest::test_runner::{rng_for, TestRng};
 use siren_repro::db::Record;
 use siren_repro::elf::{Binding, ElfBuilder, ElfFile, ElfType, SymType};
 use siren_repro::fuzzy::{
@@ -209,47 +210,336 @@ proptest! {
     }
 }
 
-// Appended invariants: WAL crash tolerance and edit-distance oracle.
+// Appended invariants: WAL crash tolerance and the fuzzy-comparison
+// oracle.
 
-/// Naive weighted-DL reference (exponential, memoized via table) used as
-/// an oracle for the production edit distance on short strings.
-fn oracle_edit_distance(a: &[u8], b: &[u8]) -> u32 {
-    const INS: u32 = 1;
-    const DEL: u32 = 1;
-    const SUB: u32 = 3;
-    const SWP: u32 = 5;
-    let (n, m) = (a.len(), b.len());
-    let mut dp = vec![vec![0u32; m + 1]; n + 1];
-    for (i, row) in dp.iter_mut().enumerate() {
-        row[0] = i as u32 * DEL;
-    }
-    for (j, cell) in dp[0].iter_mut().enumerate() {
-        *cell = j as u32 * INS;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let mut best = dp[i - 1][j] + DEL;
-            best = best.min(dp[i][j - 1] + INS);
-            best = best.min(dp[i - 1][j - 1] + if a[i - 1] == b[j - 1] { 0 } else { SUB });
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(dp[i - 2][j - 2] + SWP);
-            }
-            dp[i][j] = best;
+/// The fuzzy comparison as spamsum states it, kept as the oracle for
+/// the bit-parallel kernel in `siren_fuzzy::compare`: `String` run
+/// collapsing, a `HashSet` 7-gram gate, and the three-row weighted
+/// Damerau–Levenshtein recurrence with spamsum's costs.
+mod reference {
+    use siren_repro::fuzzy::{FuzzyHash, MIN_BLOCKSIZE, ROLLING_WINDOW, SPAMSUM_LENGTH};
+    use std::collections::HashSet;
+
+    const COST_INSERT: u32 = 1;
+    const COST_DELETE: u32 = 1;
+    const COST_SUBSTITUTE: u32 = 3;
+    const COST_TRANSPOSE: u32 = 5;
+
+    pub fn compare_parsed(a: &FuzzyHash, b: &FuzzyHash) -> u32 {
+        let (bs1, bs2) = (a.block_size, b.block_size);
+        if bs1 == bs2 && a.sig1 == b.sig1 && a.sig2 == b.sig2 && !a.sig1.is_empty() {
+            return 100;
+        }
+        if bs1 != bs2 && bs1 != bs2.wrapping_mul(2) && bs2 != bs1.wrapping_mul(2) {
+            return 0;
+        }
+        let a1 = eliminate_sequences(&a.sig1);
+        let a2 = eliminate_sequences(&a.sig2);
+        let b1 = eliminate_sequences(&b.sig1);
+        let b2 = eliminate_sequences(&b.sig2);
+        if bs1 == bs2 {
+            let s1 = score_strings(&a1, &b1, bs1);
+            let s2 = score_strings(&a2, &b2, bs1.wrapping_mul(2));
+            s1.max(s2)
+        } else if bs1 == bs2.wrapping_mul(2) {
+            score_strings(&a1, &b2, bs1)
+        } else {
+            score_strings(&a2, &b1, bs2)
         }
     }
-    dp[n][m]
+
+    pub fn eliminate_sequences(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut run = 0usize;
+        let mut prev = 0u8;
+        for &c in s.as_bytes() {
+            if c == prev {
+                run += 1;
+            } else {
+                run = 1;
+                prev = c;
+            }
+            if run <= 3 {
+                out.push(c as char);
+            }
+        }
+        out
+    }
+
+    pub fn has_common_substring(s1: &str, s2: &str) -> bool {
+        if s1.len() < ROLLING_WINDOW || s2.len() < ROLLING_WINDOW {
+            return false;
+        }
+        let grams: HashSet<&[u8]> = s1.as_bytes().windows(ROLLING_WINDOW).collect();
+        s2.as_bytes()
+            .windows(ROLLING_WINDOW)
+            .any(|w| grams.contains(w))
+    }
+
+    pub fn edit_distance(s1: &str, s2: &str) -> u32 {
+        let (a, b) = (s1.as_bytes(), s2.as_bytes());
+        let (n, m) = (a.len(), b.len());
+        let width = m + 1;
+        let mut prev2 = vec![0u32; width];
+        let mut prev: Vec<u32> = (0..width).map(|j| j as u32 * COST_INSERT).collect();
+        let mut cur = vec![0u32; width];
+        for i in 1..=n {
+            cur[0] = i as u32 * COST_DELETE;
+            for j in 1..=m {
+                let mut best = prev[j] + COST_DELETE;
+                best = best.min(cur[j - 1] + COST_INSERT);
+                let sub = if a[i - 1] == b[j - 1] {
+                    0
+                } else {
+                    COST_SUBSTITUTE
+                };
+                best = best.min(prev[j - 1] + sub);
+                if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
+                    best = best.min(prev2[j - 2] + COST_TRANSPOSE);
+                }
+                cur[j] = best;
+            }
+            std::mem::swap(&mut prev2, &mut prev);
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[m]
+    }
+
+    pub fn score_strings(s1: &str, s2: &str, block_size: u32) -> u32 {
+        if s1.len() > SPAMSUM_LENGTH || s2.len() > SPAMSUM_LENGTH {
+            return 0;
+        }
+        if !has_common_substring(s1, s2) {
+            return 0;
+        }
+        let d = u64::from(edit_distance(s1, s2));
+        let total_len = (s1.len() + s2.len()) as u64;
+        let mut score = d * SPAMSUM_LENGTH as u64 / total_len;
+        score = 100 * score / SPAMSUM_LENGTH as u64;
+        if score >= 100 {
+            return 0;
+        }
+        let score = (100 - score) as u32;
+        let cap = (block_size / MIN_BLOCKSIZE).saturating_mul(s1.len().min(s2.len()) as u32);
+        score.min(cap)
+    }
+}
+
+/// Base64 bytes biased toward a few characters, so that runs and shared
+/// grams actually occur.
+const BIASED: &[u8] = b"AAAABBBCCzyx0123+/QRSTUVWXYZabcdef";
+
+/// A signature of exactly `len` bytes in which a third of the draws are
+/// runs of up to eight bytes, the shape run collapsing eats.
+fn run_heavy_sig(rng: &mut TestRng, len: usize) -> String {
+    let mut s = String::with_capacity(len);
+    while s.len() < len {
+        let c = BIASED[rng.below(BIASED.len() as u64) as usize] as char;
+        let repeat = if rng.below(3) == 0 {
+            rng.below(8) + 1
+        } else {
+            1
+        };
+        for _ in 0..(repeat as usize).min(len - s.len()) {
+            s.push(c);
+        }
+    }
+    s
+}
+
+/// `sig` after up to four random edits (insert, delete, substitute,
+/// transpose, insert a run), cut to `max_len` bytes.
+fn near_copy(rng: &mut TestRng, sig: &str, max_len: usize) -> String {
+    let mut b = sig.as_bytes().to_vec();
+    for _ in 0..rng.below(5) {
+        let at = rng.below(b.len() as u64 + 1) as usize;
+        let c = BIASED[rng.below(BIASED.len() as u64) as usize];
+        match rng.below(5) {
+            0 => b.insert(at, c),
+            1 if at < b.len() => {
+                b.remove(at);
+            }
+            2 if at < b.len() => b[at] = c,
+            3 if at + 1 < b.len() => b.swap(at, at + 1),
+            _ => {
+                let run = rng.below(6) as usize + 1;
+                b.splice(at..at, std::iter::repeat_n(c, run));
+            }
+        }
+    }
+    b.truncate(max_len);
+    String::from_utf8(b).expect("base64 bytes")
+}
+
+/// A pair of hashes drawn over every block-size relation — equal,
+/// double, half, unrelated, and at the top of the series (3·2^30, whose
+/// doubled block size wraps) — with `b` built mostly from near copies of
+/// `a`'s signatures so that many pairs score above 0. One pair in eight
+/// is hand-built with a `sig1` over 64 bytes, which may or may not
+/// collapse to a comparable length.
+fn arb_pair(rng: &mut TestRng) -> (FuzzyHash, FuzzyHash) {
+    let i = if rng.below(4) == 0 {
+        30
+    } else {
+        rng.below(31) as u32
+    };
+    let bs_a = 3u32 << i;
+    let bs_b = match rng.below(5) {
+        0 => bs_a,
+        1 => bs_a.wrapping_mul(2),
+        2 if i > 0 => bs_a / 2,
+        3 => 3 << rng.below(31),
+        _ => bs_a,
+    };
+    let (len1, len2) = if rng.below(8) == 0 {
+        (65 + rng.below(66) as usize, rng.below(71) as usize)
+    } else {
+        (rng.below(65) as usize, rng.below(33) as usize)
+    };
+    let a = FuzzyHash {
+        block_size: bs_a,
+        sig1: run_heavy_sig(rng, len1),
+        sig2: run_heavy_sig(rng, len2),
+    };
+    let derive = |rng: &mut TestRng, max_len: usize| match rng.below(3) {
+        0 => near_copy(rng, &a.sig1, max_len),
+        1 => near_copy(rng, &a.sig2, max_len),
+        _ => {
+            let len = rng.below(max_len as u64 + 1) as usize;
+            run_heavy_sig(rng, len)
+        }
+    };
+    let (max1, max2) = (len1.max(64), len2.max(32));
+    let b = FuzzyHash {
+        block_size: bs_b,
+        sig1: derive(rng, max1),
+        sig2: derive(rng, max2),
+    };
+    (a, b)
+}
+
+/// The distinct `FILE_H` values of a seeded campaign, one per executable
+/// image the campaign runs.
+fn campaign_file_hashes() -> Vec<FuzzyHash> {
+    use siren_repro::cluster::{Campaign, CampaignConfig};
+    let mut images = std::collections::HashSet::new();
+    let mut hashes = std::collections::BTreeSet::new();
+    let config = CampaignConfig {
+        scale: 0.002,
+        seed: 0x51_4E,
+        ..CampaignConfig::default()
+    };
+    Campaign::new(config).run(|ctx| {
+        if images.insert(std::sync::Arc::as_ptr(&ctx.exe)) {
+            hashes.insert(fuzzy_hash(&ctx.exe.data).to_string_repr());
+        }
+    });
+    hashes
+        .iter()
+        .map(|h| FuzzyHash::parse(h).expect("generated FILE_H parses"))
+        .collect()
+}
+
+/// The bit-parallel `compare_parsed` scores every pair exactly as the
+/// weighted-DP reference does: random run-heavy pairs and near copies
+/// over every block-size relation, hand-built overlong signatures, and
+/// every pair of a seeded campaign's `FILE_H` values.
+#[test]
+fn compare_parsed_matches_reference() {
+    let mut rng = rng_for("compare-parsed-vs-reference");
+    let mut nonzero = 0;
+    const PAIRS: usize = 20_000;
+    for case in 0..PAIRS {
+        let (a, b) = arb_pair(&mut rng);
+        let want = reference::compare_parsed(&a, &b);
+        assert_eq!(compare_parsed(&a, &b), want, "case {case}: {a:?} vs {b:?}");
+        assert_eq!(compare_parsed(&b, &a), reference::compare_parsed(&b, &a));
+        nonzero += usize::from(want > 0);
+    }
+    assert!(
+        nonzero > PAIRS / 5,
+        "only {nonzero} of {PAIRS} pairs scored"
+    );
+    let corpus = campaign_file_hashes();
+    assert!(
+        corpus.len() > 20,
+        "campaign produced {} FILE_H",
+        corpus.len()
+    );
+    let mut nonzero = 0;
+    for a in &corpus {
+        for b in &corpus {
+            let want = reference::compare_parsed(a, b);
+            assert_eq!(compare_parsed(a, b), want, "{a} vs {b}");
+            nonzero += usize::from(want > 0);
+        }
+    }
+    assert!(nonzero > corpus.len(), "no distinct campaign pair scored");
+}
+
+/// The public string functions agree with the reference at every input
+/// length, inside one 64-byte word and past it.
+#[test]
+fn compare_string_functions_match_reference() {
+    use siren_repro::fuzzy::compare as fast;
+    let mut rng = rng_for("compare-strings-vs-reference");
+    for case in 0..600 {
+        let (len_s, len_t) = (rng.below(161) as usize, rng.below(161) as usize);
+        let s = run_heavy_sig(&mut rng, len_s);
+        let t = if rng.below(2) == 0 {
+            near_copy(&mut rng, &s, 200)
+        } else {
+            run_heavy_sig(&mut rng, len_t)
+        };
+        let ctx = format!("case {case}: {s:?} vs {t:?}");
+        assert_eq!(
+            fast::eliminate_sequences(&s),
+            reference::eliminate_sequences(&s),
+            "{ctx}"
+        );
+        assert_eq!(
+            fast::has_common_substring(&s, &t),
+            reference::has_common_substring(&s, &t),
+            "{ctx}"
+        );
+        assert_eq!(
+            fast::edit_distance(&s, &t),
+            reference::edit_distance(&s, &t),
+            "{ctx}"
+        );
+        for bs in [3, 48, 3 << 30] {
+            assert_eq!(
+                fast::score_strings(&s, &t, bs),
+                reference::score_strings(&s, &t, bs),
+                "{ctx} at {bs}"
+            );
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The production edit distance equals the textbook DP oracle.
+    /// The production edit distance equals spamsum's weighted recurrence
+    /// on signatures up to one word long.
     #[test]
-    fn edit_distance_matches_oracle(a in "[A-Za-z0-9+/]{0,24}", b in "[A-Za-z0-9+/]{0,24}") {
+    fn edit_distance_matches_oracle(a in "[A-Za-z0-9+/]{0,64}", b in "[A-Za-z0-9+/]{0,64}") {
         prop_assert_eq!(
             siren_repro::fuzzy::compare::edit_distance(&a, &b),
-            oracle_edit_distance(a.as_bytes(), b.as_bytes())
+            reference::edit_distance(&a, &b)
         );
+    }
+
+    /// ... and on strings longer than one 64-byte word.
+    #[test]
+    fn edit_distance_matches_oracle_past_one_word(
+        a in "[A-Za-z0-9+/]{65,200}",
+        b in "[A-Za-z0-9+/]{0,200}",
+    ) {
+        use siren_repro::fuzzy::compare::edit_distance;
+        prop_assert_eq!(edit_distance(&a, &b), reference::edit_distance(&a, &b));
+        prop_assert_eq!(edit_distance(&b, &a), reference::edit_distance(&b, &a));
     }
 
     /// WAL crash tolerance: truncating the log at ANY byte position
