@@ -187,19 +187,8 @@ pub fn telemetry_report(metrics: &MetricsSnapshot) -> String {
         hist_line(&mut out, metrics, "layer merge", "service.merge_ns");
     }
     if has_series(metrics, "query.") {
-        let (v1, v2) = (c("query.negotiated_v1"), c("query.negotiated_v2"));
-        let versions = if v1 + v2 == 0 {
-            "none yet".to_string()
-        } else {
-            [(1u16, v1), (2u16, v2)]
-                .iter()
-                .filter(|&&(_, n)| n > 0)
-                .map(|(v, n)| format!("v{v}: {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
         out.push_str(&format!(
-            "  query: {} requests over {} connections ({} refused), negotiated versions: {versions}\n",
+            "  query: {} requests over {} connections ({} refused)\n",
             c("query.requests"),
             c("query.connections_accepted"),
             c("query.connections_refused")
@@ -387,8 +376,6 @@ mod tests {
         registry.counter("query.requests").add(9);
         registry.counter("query.connections_accepted").add(5);
         registry.counter("query.connections_refused").add(7);
-        registry.counter("query.negotiated_v1").add(4);
-        registry.counter("query.negotiated_v2").add(9);
         registry.counter("cursor.hits").add(2);
         registry.gauge("cursor.open").set(3);
         registry.histogram("query.exec_ns").record(1_500_000);
@@ -403,7 +390,6 @@ mod tests {
         });
         let report = super::telemetry_report(&registry.snapshot());
         assert!(report.contains("9 requests over 5 connections (7 refused)"));
-        assert!(report.contains("negotiated versions: v1: 4, v2: 9"));
         assert!(report.contains("3 open (high water 3)"));
         assert!(report.contains("execution: p50="));
         assert!(report.contains("3 epochs committed (1234 records)"));

@@ -13,10 +13,9 @@
 //! cursor is ever parked, so `FetchCursor`/`CloseCursor` draw
 //! `UnknownCursor`, which clients already handle.
 //!
-//! The router negotiates **v2..=v3** — protocol v1 cannot carry plans
-//! or warnings, and silently downgrading federation to v1 one-shots
-//! would mean silently partial answers. A v1-only client gets the
-//! standard typed `UnsupportedVersion { 2, 3 }` refusal.
+//! The hello is the daemon's: the offered range must contain protocol
+//! version 3, or the client gets the same plain typed
+//! `UnsupportedVersion { 3, 3 }` refusal and a close.
 
 use crate::router::{Router, RouterError};
 use siren_proto::{
@@ -34,8 +33,6 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-/// Lowest protocol version the router serves (plans need v2).
-const ROUTER_VERSION_MIN: u16 = 2;
 /// Poller key of the accept socket.
 const LISTENER_KEY: usize = 0;
 /// Read timeout granularity on served connections, so shutdown is
@@ -185,138 +182,75 @@ fn serve_conn(mut socket: TcpStream, router: Arc<Router>, stop: Arc<AtomicBool>)
     socket.set_read_timeout(Some(CONN_TICK))?;
     socket.set_write_timeout(Some(Duration::from_secs(30)))?;
 
-    // Hello exchange: same negotiation as a daemon, floored at v2.
+    // Hello exchange: exactly the daemon's. Refusals are plain frames
+    // (no envelope before the ack).
     let Some(hello) = read_frame_ticked(&mut socket, &stop)? else {
         return Ok(());
     };
-    let Some((client_min, client_max)) = decode_hello(&hello) else {
-        let err = QueryResponse::Error(QueryError::Malformed("bad hello".into()));
-        return write_frame(&mut socket, &err.encode_versioned(ROUTER_VERSION_MIN));
-    };
-    let version = match negotiate(client_min, client_max) {
-        Ok(version) if version >= ROUTER_VERSION_MIN => version,
-        _ => {
-            let err = QueryResponse::Error(QueryError::UnsupportedVersion {
-                server_min: ROUTER_VERSION_MIN,
-                server_max: siren_proto::PROTOCOL_VERSION,
-            });
-            return write_frame(&mut socket, &err.encode_versioned(ROUTER_VERSION_MIN));
-        }
-    };
-    write_frame(&mut socket, &encode_hello_ack(version))?;
-
-    // Request loop. Requests are served in arrival order; on v3 each
-    // reply is enveloped under the request's stream id, which is all a
-    // MuxClient needs to route it (frames of one reply stay
-    // contiguous).
-    while let Some(payload) = read_frame_ticked(&mut socket, &stop)? {
-        let (stream_id, body): (u32, Vec<u8>) = if version >= 3 {
-            match decode_stream_frame(&payload) {
-                Ok(frame) => (frame.stream_id, frame.body),
-                Err(_) => {
-                    let err = QueryResponse::Error(QueryError::Malformed(
-                        "undecodable stream envelope".into(),
-                    ));
-                    write_versioned(&mut socket, version, 0, &err)?;
-                    return Ok(());
-                }
+    let refusal = match decode_hello(&hello) {
+        None => QueryError::Malformed("bad hello".into()),
+        Some((client_min, client_max)) => match negotiate(client_min, client_max) {
+            Ok(version) => {
+                write_frame(&mut socket, &encode_hello_ack(version))?;
+                return serve_requests(&mut socket, &router, &stop);
             }
-        } else {
-            (0, payload)
+            Err(err) => err,
+        },
+    };
+    write_frame(&mut socket, &QueryResponse::Error(refusal).encode())
+}
+
+/// The request loop. Requests are served in arrival order, each reply
+/// enveloped under the request's stream id, which is all a `MuxClient`
+/// needs to route it (frames of one reply stay contiguous).
+fn serve_requests(socket: &mut TcpStream, router: &Router, stop: &AtomicBool) -> io::Result<()> {
+    while let Some(payload) = read_frame_ticked(socket, stop)? {
+        let Ok(frame) = decode_stream_frame(&payload) else {
+            let err =
+                QueryResponse::Error(QueryError::Malformed("undecodable stream envelope".into()));
+            return write_reply(socket, 0, &err);
         };
-        let (request, trace) = match QueryRequest::decode_traced(&body, version) {
-            Ok(decoded) => decoded,
-            Err(err) => {
-                write_versioned(&mut socket, version, stream_id, &QueryResponse::Error(err))?;
+        let stream_id = frame.stream_id;
+        let response = match QueryRequest::decode_traced(&frame.body) {
+            Ok((QueryRequest::Plan(plan), trace)) => {
+                serve_plan(socket, stream_id, router, plan, trace)?;
                 continue;
             }
-        };
-        match request {
-            QueryRequest::Plan(plan) => {
-                serve_plan(&mut socket, version, stream_id, &router, plan, trace)?;
+            Ok((QueryRequest::Status, _)) => match router.status() {
+                Ok(status) => QueryResponse::Status(status),
+                Err(err) => QueryResponse::Error(QueryError::Internal(err.to_string())),
+            },
+            Ok((QueryRequest::Metrics, _)) => QueryResponse::Metrics(router.registry().snapshot()),
+            Ok((QueryRequest::Traces(filter), _)) => {
+                QueryResponse::Traces(router.traces().traces(&filter))
             }
-            QueryRequest::Status => {
-                let response = match router.status() {
-                    Ok(status) => QueryResponse::Status(status),
-                    Err(err) => QueryResponse::Error(QueryError::Internal(err.to_string())),
-                };
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::Metrics => {
-                let response = QueryResponse::Metrics(router.registry().snapshot());
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::Traces(filter) => {
-                let response = QueryResponse::Traces(router.traces().traces(&filter));
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::ByJob { job_id } => {
-                let plan = QueryPlan::records().filter(siren_proto::Selection::all().job(job_id));
-                let response = one_shot(&router, plan, trace, |rows| {
-                    QueryResponse::Rows(rows.into_iter().filter_map(PlanRow::into_record).collect())
-                });
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::Neighbors { hash, k, min_score } => {
-                let plan = QueryPlan::neighbors(hash, min_score).limit(k.into());
-                let response = one_shot(&router, plan, trace, |rows| {
-                    QueryResponse::Neighbors(
-                        rows.into_iter()
-                            .filter_map(PlanRow::into_neighbor)
-                            .collect(),
-                    )
-                });
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::LibraryUsage { .. } => {
-                // Per-library host counts are distinct-counts: not
-                // summable across job shards. Refusing typed beats
-                // answering wrong.
-                let response = QueryResponse::Error(QueryError::Internal(
+            // Per-library host counts are distinct-counts: not summable
+            // across job shards. Refusing typed beats answering wrong.
+            Ok((QueryRequest::LibraryUsage { .. }, _)) => {
+                QueryResponse::Error(QueryError::Internal(
                     "library usage is not federatable (per-library host counts \
                      do not sum across shards); query a shard directly"
                         .into(),
-                ));
-                write_versioned(&mut socket, version, stream_id, &response)?;
+                ))
             }
-            QueryRequest::FetchCursor { cursor } | QueryRequest::CloseCursor { cursor } => {
-                // The router answers plans whole; it never parks a
-                // cursor, so any cursor id is unknown by construction.
-                let response = QueryResponse::Error(QueryError::UnknownCursor(cursor));
-                write_versioned(&mut socket, version, stream_id, &response)?;
-            }
-            QueryRequest::SubscribeEpochs { .. } => {
-                let response = QueryResponse::Error(QueryError::Internal(
+            // The router answers plans whole; it never parks a cursor,
+            // so any cursor id is unknown by construction.
+            Ok((
+                QueryRequest::FetchCursor { cursor } | QueryRequest::CloseCursor { cursor },
+                _,
+            )) => QueryResponse::Error(QueryError::UnknownCursor(cursor)),
+            Ok((QueryRequest::SubscribeEpochs { .. }, _)) => {
+                QueryResponse::Error(QueryError::Internal(
                     "epoch subscription is not served by a federation router; \
                      replicate from a shard leader directly"
                         .into(),
-                ));
-                write_versioned(&mut socket, version, stream_id, &response)?;
+                ))
             }
-        }
+            Err(err) => QueryResponse::Error(err),
+        };
+        write_reply(socket, stream_id, &response)?;
     }
     Ok(())
-}
-
-/// Answer a one-shot request through the plan path. One-shot replies
-/// have nowhere to carry a warning, so a partial result is refused
-/// typed rather than returned silently incomplete.
-fn one_shot(
-    router: &Router,
-    plan: QueryPlan,
-    trace: Option<siren_proto::TraceId>,
-    wrap: impl FnOnce(Vec<PlanRow>) -> QueryResponse,
-) -> QueryResponse {
-    match router.query_traced(plan, trace) {
-        Ok(stream) => {
-            let (rows, warning) = stream.collect_rows_warned();
-            match warning {
-                None => wrap(rows),
-                Some(warning) => QueryResponse::Error(QueryError::Internal(warning.to_string())),
-            }
-        }
-        Err(err) => QueryResponse::Error(router_error(err)),
-    }
 }
 
 fn router_error(err: RouterError) -> QueryError {
@@ -328,7 +262,6 @@ fn router_error(err: RouterError) -> QueryError {
 
 fn serve_plan(
     socket: &mut TcpStream,
-    version: u16,
     stream_id: u32,
     router: &Router,
     plan: QueryPlan,
@@ -340,7 +273,7 @@ fn serve_plan(
         Ok(stream) => stream,
         Err(err) => {
             let response = QueryResponse::Error(router_error(err));
-            return write_versioned(socket, version, stream_id, &response);
+            return write_reply(socket, stream_id, &response);
         }
     };
     let mut rows: Vec<PlanRow> = Vec::with_capacity(batch_rows);
@@ -352,18 +285,17 @@ fn serve_plan(
         }
         if rows.len() >= batch_rows || (done && !rows.is_empty()) {
             let batch = rows_to_batch(&source, std::mem::take(&mut rows));
-            write_versioned(socket, version, stream_id, &QueryResponse::Batch(batch))?;
+            write_reply(socket, stream_id, &QueryResponse::Batch(batch))?;
         }
         if done {
             break;
         }
     }
     if let Some(warning) = stream.warning() {
-        write_versioned(socket, version, stream_id, &QueryResponse::Warning(warning))?;
+        write_reply(socket, stream_id, &QueryResponse::Warning(warning))?;
     }
-    write_versioned(
+    write_reply(
         socket,
-        version,
         stream_id,
         &QueryResponse::StreamEnd { cursor: None },
     )
@@ -386,19 +318,10 @@ fn rows_to_batch(source: &siren_proto::PlanSource, rows: Vec<PlanRow>) -> RowBat
     }
 }
 
-fn write_versioned(
-    socket: &mut TcpStream,
-    version: u16,
-    stream_id: u32,
-    response: &QueryResponse,
-) -> io::Result<()> {
-    let body = response.encode_versioned(version);
-    if version >= 3 {
-        // Raw envelope (no compression): protocol-legal under any
-        // client's accept flag, and batches are already bounded.
-        let enveloped = encode_stream_frame(stream_id, &body, false, None);
-        write_frame(socket, &enveloped)
-    } else {
-        write_frame(socket, &body)
-    }
+/// Write one reply frame in a raw envelope (no compression):
+/// protocol-legal under any client's accept flag, and batches are
+/// already bounded.
+fn write_reply(socket: &mut TcpStream, stream_id: u32, response: &QueryResponse) -> io::Result<()> {
+    let enveloped = encode_stream_frame(stream_id, &response.encode(), false, None);
+    write_frame(socket, &enveloped)
 }

@@ -4,7 +4,7 @@
 //! A [`HealthChecker`] thread sweeps the fleet every `probe_interval`:
 //! each member answers a `Status` request (dialed under the shared
 //! [`RetryPolicy`]'s timeout, one attempt per sweep — the sweep cadence
-//! *is* the retry loop), and the v3 `StatusInfo` replication counters
+//! *is* the retry loop), and the `StatusInfo` replication counters
 //! give each follower's epoch lag. The router consults the resulting
 //! [`FleetHealth`] to order read candidates — active leader first,
 //! then caught-up followers, freshest first — and feeds its own dial
@@ -38,7 +38,7 @@ struct MemberState {
     addr: SocketAddr,
     /// Last observed reachability (optimistic before the first probe).
     up: bool,
-    /// Epochs behind its leader, from the v3 replication counters.
+    /// Epochs behind its leader, from the replication counters.
     lag_epochs: u64,
 }
 

@@ -10,7 +10,7 @@
 //!   corpus slice by job-hash shard (`siren_wire::ShardRouter`, the
 //!   same partition ingest uses), optional host claims, and optional
 //!   epoch claims.
-//! * [`Router`] accepts a v2/v3 [`QueryPlan`], prunes backends by the
+//! * [`Router`] accepts a [`QueryPlan`], prunes backends by the
 //!   selection's [`ShardKey`], fans the plan out over per-backend
 //!   multiplexed streams, and k-way-merges the ordered replies —
 //!   byte/order-identical to a single daemon ingesting the union
@@ -18,7 +18,7 @@
 //!   summed per user across shards and re-sorted; limits cut top-k
 //!   across backends.
 //! * A background [`HealthChecker`] probes every backend with `Status`
-//!   requests, tracks follower lag from the v3 replication counters,
+//!   requests, tracks follower lag from the replication counters,
 //!   orders read candidates freshest-first, and — when a leader stays
 //!   dark past `promote_after` — repoints the set at a caught-up
 //!   follower (automated promotion, `fed.promotions`).
@@ -26,7 +26,7 @@
 //!   stream still ends normally, carrying a typed [`QueryWarning`]
 //!   that enumerates exactly the missing backends. Zero reachable
 //!   backends is the only hard failure.
-//! * [`RouterDaemon`] serves the existing wire protocol (v2/v3) on its
+//! * [`RouterDaemon`] serves the daemon's wire protocol on its
 //!   own port through the reactor's poller, so unmodified
 //!   `SirenClient`s federate transparently.
 //!

@@ -327,10 +327,9 @@ impl BackendStream {
             self.candidates = health.candidates(self.set).into();
         }
         while let Some(addr) = self.candidates.pop_front() {
-            let attempt =
-                SirenClient::connect_with_retry_versions(addr, 3, 3, self.timeout, &self.retry)
-                    .and_then(SirenClient::into_mux)
-                    .and_then(|mux| mux.query_traced(self.plan.clone(), self.trace));
+            let attempt = SirenClient::connect_with_retry(addr, self.timeout, &self.retry)
+                .and_then(SirenClient::into_mux)
+                .and_then(|mux| mux.query_traced(self.plan.clone(), self.trace));
             match attempt {
                 Ok(mut stream) => {
                     // Re-entry after a failover: drop the prefix the

@@ -203,7 +203,7 @@ fn row_bytes(plan: &QueryPlan, rows: &[PlanRow]) -> Vec<u8> {
                 .collect(),
         ),
     };
-    QueryResponse::Batch(batch).encode_versioned(3)
+    QueryResponse::Batch(batch).encode()
 }
 
 fn shard_of(record_row: &PlanRow, shard_router: &ShardRouter) -> usize {

@@ -1,16 +1,17 @@
 //! The runnable router: unmodified wire-protocol clients federate
 //! transparently through a [`RouterDaemon`] port — plans stream merged
-//! rows, one-shots route through the plan path (refusing partial
-//! results typed), Status/Metrics aggregate the fleet, and protocol v1
-//! draws the standard typed refusal.
+//! rows, the client's `by_job` sugar refuses partial results typed,
+//! Status/Metrics aggregate the fleet, and the hello is refused or
+//! acknowledged exactly as a daemon does it.
 
 use proptest::test_runner::{rng_for, TestRng};
 use siren_consolidate::{record_order, ProcessRecord};
 use siren_db::Record;
 use siren_federation::{FleetConfig, Router, RouterDaemon};
 use siren_proto::{
-    decode_hello_ack, encode_hello, read_frame, write_frame, PlanRow, QueryError, QueryPlan,
-    QueryRequest, QueryResponse, RetryPolicy, Selection, SirenClient,
+    decode_hello_ack, decode_stream_frame, encode_hello, encode_stream_frame, negotiate,
+    read_frame, write_frame, FrameError, PlanRow, QueryError, QueryPlan, QueryRequest,
+    QueryResponse, RetryPolicy, Selection, SirenClient,
 };
 use siren_service::{ServiceConfig, SirenDaemon};
 use siren_wire::{Layer, MessageType, ShardRouter};
@@ -101,8 +102,8 @@ fn spawn_router(leaders: impl IntoIterator<Item = SocketAddr>) -> RouterDaemon {
 }
 
 /// An unmodified `SirenClient` pointed at the router port sees the
-/// union daemon: plan streams, mux streams, Status, Metrics, one-shot
-/// ByJob — all without knowing a fleet exists.
+/// union daemon: plan streams, mux streams, Status, Metrics, `by_job`
+/// — all without knowing a fleet exists.
 #[test]
 fn unmodified_clients_federate_transparently() {
     let fx = fixture("fedwire-transparent");
@@ -110,7 +111,7 @@ fn unmodified_clients_federate_transparently() {
     let daemon = spawn_router(leaders);
     let mut oracle_client = SirenClient::connect(fx.oracle.query_addr().unwrap()).unwrap();
 
-    // Blocking v3 client, plan path.
+    // Blocking client, plan path.
     let mut client = SirenClient::connect(daemon.local_addr()).unwrap();
     for plan in [
         QueryPlan::records().batch_rows(3),
@@ -131,32 +132,27 @@ fn unmodified_clients_federate_transparently() {
     assert!(metrics.counter("fed.queries") >= 3);
     assert!(metrics.counter("fed.rows_merged") > 0);
 
-    // One-shot ByJob routes through the plan path (and its job
-    // selection prunes to one shard).
+    // `by_job` is a job-filtered plan (its selection prunes to one
+    // shard).
     let shard_router = ShardRouter::new(2);
-    let job = (0..64)
-        .find(|&j| shard_router.shard_of_job(j) == 1)
-        .unwrap();
-    let req = QueryRequest::ByJob { job_id: job };
-    let from_router = client.call(&req).unwrap().encode_versioned(3);
-    let from_oracle = oracle_client.call(&req).unwrap().encode_versioned(3);
-    assert_eq!(
-        from_router, from_oracle,
-        "ByJob bytes must match the oracle"
-    );
+    let snapshot = fx.oracle.snapshot();
+    let mut jobs = snapshot.iter().map(|er| er.record.key.job_id);
+    let job = jobs.find(|&j| shard_router.shard_of_job(j) == 1).unwrap();
+    let from_router = client.by_job(job).unwrap();
+    assert!(!from_router.is_empty());
+    assert_eq!(from_router, oracle_client.by_job(job).unwrap());
 
     // Cursors are never parked: any cursor id is unknown. The client
     // library refuses to send FetchCursor outside a stream, so speak
-    // raw v2 frames.
-    let mut raw = TcpStream::connect(daemon.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write_frame(&mut raw, &encode_hello(2, 2)).unwrap();
-    assert_eq!(decode_hello_ack(&read_frame(&mut raw).unwrap()), Some(2));
-    let fetch = QueryRequest::FetchCursor { cursor: 99 };
-    write_frame(&mut raw, &fetch.encode_versioned(2)).unwrap();
-    let payload = read_frame(&mut raw).unwrap();
-    match QueryResponse::decode_versioned(&payload, 2) {
-        Ok(QueryResponse::Error(QueryError::UnknownCursor(99))) => {}
+    // raw frames.
+    let mut raw = dial(daemon.local_addr());
+    send(
+        &mut raw,
+        7,
+        &QueryRequest::FetchCursor { cursor: 99 }.encode(),
+    );
+    match read_reply(&mut raw) {
+        (7, QueryResponse::Error(QueryError::UnknownCursor(99))) => {}
         other => panic!("expected UnknownCursor, got {other:?}"),
     }
     drop(raw);
@@ -172,7 +168,7 @@ fn unmodified_clients_federate_transparently() {
     }
     drop(client);
 
-    // Multiplexed v3 client over the same port.
+    // Multiplexed client over the same port.
     let mux = SirenClient::connect(daemon.local_addr())
         .unwrap()
         .into_mux()
@@ -191,37 +187,102 @@ fn unmodified_clients_federate_transparently() {
     daemon.shutdown();
 }
 
-/// A v1-only client gets the standard typed version refusal — the
-/// router never silently downgrades federation below plans+warnings.
-#[test]
-fn protocol_v1_is_refused_typed() {
-    let fx = fixture("fedwire-v1");
-    let leaders: Vec<SocketAddr> = fx.shards.iter().map(|d| d.query_addr().unwrap()).collect();
-    let daemon = spawn_router(leaders);
-
-    let mut stream = TcpStream::connect(daemon.local_addr()).unwrap();
+/// A raw connection that has sent `hello` as its first frame.
+fn connect_raw(addr: SocketAddr, hello: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    write_frame(&mut stream, &encode_hello(1, 1)).unwrap();
-    let payload = read_frame(&mut stream).unwrap();
-    assert_eq!(decode_hello_ack(&payload), None, "no ack for v1");
-    match QueryResponse::decode_versioned(&payload, 2) {
-        Ok(QueryResponse::Error(QueryError::UnsupportedVersion {
-            server_min,
-            server_max,
-        })) => {
-            assert_eq!((server_min, server_max), (2, 3));
+    write_frame(&mut stream, hello).unwrap();
+    stream
+}
+
+/// A raw connection whose hello has been acknowledged.
+fn dial(addr: SocketAddr) -> TcpStream {
+    let mut stream = connect_raw(addr, &encode_hello(3, 3));
+    assert_eq!(decode_hello_ack(&read_frame(&mut stream).unwrap()), Some(3));
+    stream
+}
+
+fn send(stream: &mut TcpStream, id: u32, body: &[u8]) {
+    write_frame(stream, &encode_stream_frame(id, body, false, None)).unwrap();
+}
+
+fn read_reply(stream: &mut TcpStream) -> (u32, QueryResponse) {
+    let frame = decode_stream_frame(&read_frame(stream).unwrap()).unwrap();
+    (frame.stream_id, QueryResponse::decode(&frame.body).unwrap())
+}
+
+/// A refused hello: one plain (unenveloped) typed error, then a close.
+fn refusal_then_close(stream: &mut TcpStream) -> QueryError {
+    let payload = read_frame(stream).unwrap();
+    assert_eq!(decode_hello_ack(&payload), None, "a refusal is not an ack");
+    let err = match QueryResponse::decode(&payload) {
+        Ok(QueryResponse::Error(err)) => err,
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+    assert!(matches!(read_frame(stream), Err(FrameError::Closed)));
+    err
+}
+
+/// The handshake table, run against both wire servers — the reactor
+/// daemon and `RouterDaemon` — at raw-frame level: an offered range
+/// containing 3 is acknowledged with 3; any other range, empty or
+/// inverted ones included, draws a plain `UnsupportedVersion { 3, 3 }`
+/// and a close; a malformed hello draws `Malformed` and a close. On an
+/// acknowledged connection the retired one-shot tags 1 and 3 draw
+/// `UnknownRequest` and the connection still answers `Status`.
+#[test]
+fn handshake_table_on_daemon_and_router() {
+    let fx = fixture("fedwire-hello");
+    let leaders: Vec<SocketAddr> = fx.shards.iter().map(|d| d.query_addr().unwrap()).collect();
+    let router = spawn_router(leaders);
+    let refused = [(1u16, 1u16), (1, 2), (2, 2), (4, 9), (3, 2)];
+    let accepted = [(1u16, 3u16), (3, 3), (2, u16::MAX)];
+    let unsupported = Err(QueryError::UnsupportedVersion {
+        server_min: 3,
+        server_max: 3,
+    });
+    assert!(refused.iter().all(|&(a, b)| negotiate(a, b) == unsupported));
+    assert!(accepted.iter().all(|&(a, b)| negotiate(a, b) == Ok(3)));
+
+    for (name, addr) in [
+        ("daemon", fx.oracle.query_addr().unwrap()),
+        ("router", router.local_addr()),
+    ] {
+        for (min, max) in refused {
+            let mut stream = connect_raw(addr, &encode_hello(min, max));
+            let refusal = Err(refusal_then_close(&mut stream));
+            assert_eq!(refusal, unsupported, "{name}: offered ({min}, {max})");
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+        let mut stream = connect_raw(addr, b"XXXX\x03\x00\x03\x00");
+        let refusal = refusal_then_close(&mut stream);
+        assert!(matches!(refusal, QueryError::Malformed(_)), "{name}");
+
+        for (min, max) in accepted {
+            let mut stream = connect_raw(addr, &encode_hello(min, max));
+            let ack = decode_hello_ack(&read_frame(&mut stream).unwrap());
+            assert_eq!(ack, Some(3), "{name}: offered ({min}, {max})");
+            for (id, tag) in [(1u32, 1u8), (2, 3)] {
+                // Tag, a u64 argument, the trace id: the retired shape.
+                send(&mut stream, id, &[&[tag][..], &[0u8; 16]].concat());
+                let expected = (id, QueryResponse::Error(QueryError::UnknownRequest(tag)));
+                assert_eq!(read_reply(&mut stream), expected, "{name}: tag {tag}");
+            }
+            send(&mut stream, 9, &QueryRequest::Status.encode());
+            assert!(
+                matches!(read_reply(&mut stream), (9, QueryResponse::Status(_))),
+                "{name}: the connection survives reserved tags"
+            );
+        }
     }
-    daemon.shutdown();
+    router.shutdown();
 }
 
 /// Partial results pass through the wire typed: a dead shard reaches
-/// the client as a `Warning` frame before stream end, and one-shots —
-/// which cannot carry a warning — are refused rather than answered
-/// silently incomplete.
+/// the client as a `Warning` frame before stream end, and the client's
+/// `by_job` sugar — which has nowhere to carry a warning — refuses
+/// rather than answering silently incomplete.
 #[test]
 fn partial_results_reach_wire_clients_typed() {
     let fx = fixture("fedwire-partial");
@@ -241,17 +302,17 @@ fn partial_results_reach_wire_clients_typed() {
     assert_eq!(warnings.len(), 1);
     assert_eq!(warnings[0].missing, vec!["shard-1".to_string()]);
 
-    // A one-shot needing the dead shard draws a typed error carrying
-    // the warning text.
+    // `by_job` needing the dead shard draws a typed error carrying the
+    // warning text.
     let shard_router = ShardRouter::new(2);
     let dead_job = (0..64)
         .find(|&j| shard_router.shard_of_job(j) == 1)
         .unwrap();
-    match client.call(&QueryRequest::ByJob { job_id: dead_job }) {
+    match client.by_job(dead_job) {
         Err(siren_proto::ClientError::Server(QueryError::Internal(detail))) => {
             assert!(detail.contains("shard-1"), "{detail}");
         }
-        other => panic!("expected a typed one-shot refusal, got {other:?}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
     }
     daemon.shutdown();
 }

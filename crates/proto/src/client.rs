@@ -1,7 +1,6 @@
-//! The blocking query client: one TCP connection, version-negotiated on
+//! The blocking query client: one TCP connection, hello-checked on
 //! connect, with typed methods mirroring the [`QueryRequest`] variants
-//! and (on v2 servers) the composable [`QueryPlan`] API returning a
-//! lazy [`RowStream`].
+//! and the composable [`QueryPlan`] API returning a lazy [`RowStream`].
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::message::{
@@ -9,7 +8,7 @@ use crate::message::{
     QueryResponse, QueryWarning, RecordRow, Selection, StatusInfo,
 };
 use crate::mux::MuxClient;
-use crate::plan::{Order, PlanRow, PlanSource, QueryPlan};
+use crate::plan::{PlanRow, QueryPlan};
 use crate::stream::{decode_stream_frame, encode_stream_frame, CONNECTION_STREAM};
 use crate::{PROTOCOL_VERSION, PROTOCOL_VERSION_MIN};
 use siren_analysis::LibraryUsageRow;
@@ -96,8 +95,8 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered with a structured error.
     Server(QueryError),
-    /// The request cannot be expressed on this connection's negotiated
-    /// version (e.g. a usage-table plan against a v1 server).
+    /// The request cannot go through this method (a stream-reply
+    /// request handed to a single-frame `call`).
     Unsupported(String),
 }
 
@@ -107,9 +106,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Frame(e) => write!(f, "transport: {e}"),
             ClientError::Protocol(detail) => write!(f, "protocol violation: {detail}"),
             ClientError::Server(e) => write!(f, "server error: {e}"),
-            ClientError::Unsupported(detail) => {
-                write!(f, "unsupported on negotiated version: {detail}")
-            }
+            ClientError::Unsupported(detail) => write!(f, "unsupported call: {detail}"),
         }
     }
 }
@@ -128,63 +125,43 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A blocking, version-negotiated query connection to a SIREN daemon.
+/// A blocking query connection to a SIREN daemon or router.
 #[derive(Debug)]
 pub struct SirenClient {
     stream: TcpStream,
-    version: u16,
     /// Set when a stream was abandoned mid-reply and the connection
     /// could not be drained back to a frame boundary — every later
     /// call would misparse, so they are refused instead.
     poisoned: bool,
-    /// v3: stream id of the last request sent; replies must echo it
-    /// (or [`CONNECTION_STREAM`] for connection-level errors).
+    /// Stream id of the last request sent; replies must echo it (or
+    /// [`CONNECTION_STREAM`] for connection-level errors).
     stream_seq: u32,
-    /// v3: advertise willingness to receive compressed reply bodies.
+    /// Advertise willingness to receive compressed reply bodies.
     accept_compressed: bool,
 }
 
 impl SirenClient {
-    /// Connect to `addr` and negotiate a protocol version, with a 5 s
-    /// default I/O timeout.
+    /// Connect to `addr` and complete the hello, with a 5 s default
+    /// I/O timeout.
     pub fn connect(addr: SocketAddr) -> Result<Self, ClientError> {
         Self::connect_with_timeout(addr, Duration::from_secs(5))
     }
 
-    /// Connect with an explicit per-operation I/O timeout.
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, ClientError> {
-        Self::connect_with_versions(addr, PROTOCOL_VERSION_MIN, PROTOCOL_VERSION, timeout)
-    }
-
-    /// Connect under a [`RetryPolicy`]: transport failures (refused,
-    /// reset, timed out — the server restarting, say) are retried with
-    /// capped exponential backoff + jitter. Only the idempotent
-    /// connect + hello exchange is ever replayed; a typed server
-    /// refusal (e.g. an unsupported version) fails immediately, since
-    /// retrying would only repeat it.
-    pub fn connect_with_retry(addr: SocketAddr, policy: &RetryPolicy) -> Result<Self, ClientError> {
-        Self::connect_with_retry_versions(
-            addr,
-            PROTOCOL_VERSION_MIN,
-            PROTOCOL_VERSION,
-            Duration::from_secs(5),
-            policy,
-        )
-    }
-
-    /// [`SirenClient::connect_with_retry`] with an explicit version
-    /// range and per-operation I/O timeout.
-    pub fn connect_with_retry_versions(
+    /// Connect under a [`RetryPolicy`] with an explicit per-operation
+    /// I/O timeout: transport failures (refused, reset, timed out — the
+    /// server restarting, say) are retried with capped exponential
+    /// backoff + jitter. Only the idempotent connect + hello exchange
+    /// is ever replayed; a typed server refusal fails immediately,
+    /// since retrying would only repeat it.
+    pub fn connect_with_retry(
         addr: SocketAddr,
-        min: u16,
-        max: u16,
         timeout: Duration,
         policy: &RetryPolicy,
     ) -> Result<Self, ClientError> {
         let mut rng = jitter_seed();
         let mut attempt = 0u32;
         loop {
-            match Self::connect_with_versions(addr, min, max, timeout) {
+            match Self::connect_with_timeout(addr, timeout) {
                 Ok(client) => return Ok(client),
                 Err(ClientError::Frame(_)) if attempt < policy.max_retries => {
                     std::thread::sleep(policy.delay(attempt, &mut rng));
@@ -195,30 +172,24 @@ impl SirenClient {
         }
     }
 
-    /// Connect offering an explicit `[min, max]` version range — how
-    /// tests (and cautious tooling) pin a connection to v1 against a
-    /// v2-capable server.
-    pub fn connect_with_versions(
-        addr: SocketAddr,
-        min: u16,
-        max: u16,
-        timeout: Duration,
-    ) -> Result<Self, ClientError> {
+    /// Connect with an explicit per-operation I/O timeout.
+    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> Result<Self, ClientError> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
         let mut client = Self {
             stream,
-            version: 0,
             poisoned: false,
             stream_seq: 0,
             accept_compressed: false,
         };
-        write_frame(&mut client.stream, &encode_hello(min, max))?;
+        write_frame(
+            &mut client.stream,
+            &encode_hello(PROTOCOL_VERSION_MIN, PROTOCOL_VERSION),
+        )?;
         let reply = read_frame(&mut client.stream)?;
-        if let Some(version) = decode_hello_ack(&reply) {
-            client.version = version;
+        if decode_hello_ack(&reply) == Some(PROTOCOL_VERSION) {
             return Ok(client);
         }
         // Not an ack: the server either refused the version or broke
@@ -231,30 +202,18 @@ impl SirenClient {
         }
     }
 
-    /// The protocol version negotiated at connect time.
-    pub fn negotiated_version(&self) -> u16 {
-        self.version
-    }
-
-    /// On a v3 connection, advertise on every request that reply
-    /// bodies may arrive LZ-compressed (the server still only
-    /// compresses batches past its size threshold, and only when
-    /// compression actually shrinks them). A no-op on v1/v2, whose
-    /// frames have no flag to carry the offer.
+    /// Advertise on every request that reply bodies may arrive
+    /// LZ-compressed (the server still only compresses batches past its
+    /// size threshold, and only when compression actually shrinks
+    /// them).
     pub fn set_accept_compressed(&mut self, accept: bool) {
         self.accept_compressed = accept;
     }
 
     /// Convert this connection into a [`MuxClient`] able to run many
-    /// interleaved cursor streams at once. Needs a negotiated v3
-    /// connection — v1/v2 frames carry no stream id to multiplex on.
+    /// interleaved cursor streams at once.
     pub fn into_mux(self) -> Result<MuxClient, ClientError> {
         self.check_usable()?;
-        if self.version < 3 {
-            return Err(ClientError::Unsupported(
-                "stream multiplexing needs a v3 connection".into(),
-            ));
-        }
         Ok(MuxClient::from_parts(
             self.stream,
             self.stream_seq,
@@ -280,41 +239,29 @@ impl SirenClient {
         request: &QueryRequest,
         trace: Option<TraceId>,
     ) -> Result<(), ClientError> {
-        let body = request.encode_traced(self.version, trace);
-        if self.version >= 3 {
-            // Each exchange gets a fresh nonzero stream id; the reply
-            // frames must echo it. Requests are small: never compressed.
-            self.stream_seq = self.stream_seq.wrapping_add(1);
-            if self.stream_seq == CONNECTION_STREAM {
-                self.stream_seq = 1;
-            }
-            let envelope =
-                encode_stream_frame(self.stream_seq, &body, self.accept_compressed, None);
-            write_frame(&mut self.stream, &envelope)?;
-        } else {
-            write_frame(&mut self.stream, &body)?;
+        let body = request.encode_traced(trace);
+        // Each exchange gets a fresh nonzero stream id; the reply frames
+        // must echo it. Requests are small: never compressed.
+        self.stream_seq = self.stream_seq.wrapping_add(1);
+        if self.stream_seq == CONNECTION_STREAM {
+            self.stream_seq = 1;
         }
+        let envelope = encode_stream_frame(self.stream_seq, &body, self.accept_compressed, None);
+        write_frame(&mut self.stream, &envelope)?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<QueryResponse, ClientError> {
         let payload = read_frame(&mut self.stream)?;
-        let body;
-        let payload = if self.version >= 3 {
-            let frame = decode_stream_frame(&payload)
-                .map_err(|err| ClientError::Protocol(format!("bad stream envelope: {err}")))?;
-            if frame.stream_id != self.stream_seq && frame.stream_id != CONNECTION_STREAM {
-                return Err(ClientError::Protocol(format!(
-                    "reply tagged stream {} while awaiting {}",
-                    frame.stream_id, self.stream_seq
-                )));
-            }
-            body = frame.body;
-            &body[..]
-        } else {
-            &payload[..]
-        };
-        QueryResponse::decode_versioned(payload, self.version)
+        let frame = decode_stream_frame(&payload)
+            .map_err(|err| ClientError::Protocol(format!("bad stream envelope: {err}")))?;
+        if frame.stream_id != self.stream_seq && frame.stream_id != CONNECTION_STREAM {
+            return Err(ClientError::Protocol(format!(
+                "reply tagged stream {} while awaiting {}",
+                frame.stream_id, self.stream_seq
+            )));
+        }
+        QueryResponse::decode(&frame.body)
             .map_err(|err| ClientError::Protocol(format!("undecodable response: {err}")))
     }
 
@@ -325,28 +272,16 @@ impl SirenClient {
     /// Refuses requests whose reply is a frame *stream*
     /// ([`QueryRequest::Plan`] / [`QueryRequest::FetchCursor`] — use
     /// [`SirenClient::query`]): reading one frame of a multi-frame
-    /// reply would silently desync the connection. Likewise refuses
-    /// selections carrying v2-only fields on a v1 connection, where the
-    /// v1 encoding would silently drop them and return over-broad rows.
+    /// reply would silently desync the connection.
     pub fn call(&mut self, request: &QueryRequest) -> Result<QueryResponse, ClientError> {
         self.check_usable()?;
-        match request {
-            // On a v1 connection these tags draw a single UnknownRequest
-            // frame, so the exchange stays in sync; only a v2 server
-            // answers them with a frame stream.
-            QueryRequest::Plan(_) | QueryRequest::FetchCursor { .. } if self.version >= 2 => {
-                return Err(ClientError::Unsupported(
-                    "stream-reply requests must go through query()".into(),
-                ));
-            }
-            QueryRequest::LibraryUsage { selection }
-                if self.version < 2 && selection.requires_v2() =>
-            {
-                return Err(ClientError::Unsupported(
-                    "job/epoch-slice selections need a v2 server".into(),
-                ));
-            }
-            _ => {}
+        if matches!(
+            request,
+            QueryRequest::Plan(_) | QueryRequest::FetchCursor { .. }
+        ) {
+            return Err(ClientError::Unsupported(
+                "stream-reply requests must go through query()".into(),
+            ));
         }
         self.send(request)?;
         match self.recv()? {
@@ -355,8 +290,8 @@ impl SirenClient {
         }
     }
 
-    /// Daemon status (store shape + ingest-health counters; on v2
-    /// connections also the query-traffic counters).
+    /// Daemon status (store shape, ingest-health and query-traffic
+    /// counters).
     pub fn status(&mut self) -> Result<StatusInfo, ClientError> {
         match self.call(&QueryRequest::Status)? {
             QueryResponse::Status(status) => Ok(status),
@@ -364,16 +299,15 @@ impl SirenClient {
         }
     }
 
-    /// Every committed record of `job_id`, across epochs, commit order.
+    /// Every committed record of `job_id`, across epochs, commit order:
+    /// a job-filtered record plan, drained.
     pub fn by_job(&mut self, job_id: u64) -> Result<Vec<RecordRow>, ClientError> {
-        match self.call(&QueryRequest::ByJob { job_id })? {
-            QueryResponse::Rows(rows) => Ok(rows),
-            other => Err(unexpected("Rows", &other)),
-        }
+        let plan = QueryPlan::records().filter(Selection::all().job(job_id));
+        let rows = self.query_complete(plan)?;
+        Ok(rows.into_iter().filter_map(PlanRow::into_record).collect())
     }
 
-    /// Library usage over `selection` (host / time range / epoch; the
-    /// v2-only fields are version-guarded by [`SirenClient::call`]).
+    /// Library usage over `selection`.
     pub fn library_usage(
         &mut self,
         selection: Selection,
@@ -385,17 +319,8 @@ impl SirenClient {
     }
 
     /// Snapshot the daemon's metric tree: counters, gauges, latency
-    /// histograms, and the slow-query ring (protocol v2). On a v1
-    /// connection this fails client-side with
-    /// [`ClientError::Unsupported`] — the request tag does not exist in
-    /// v1, and sending it anyway would only draw the server's typed
-    /// `UnknownRequest` error.
+    /// histograms, and the slow-query ring.
     pub fn metrics(&mut self) -> Result<crate::MetricsSnapshot, ClientError> {
-        if self.version < 2 {
-            return Err(ClientError::Unsupported(
-                "metrics snapshots need a v2 server".into(),
-            ));
-        }
         match self.call(&QueryRequest::Metrics)? {
             QueryResponse::Metrics(snapshot) => Ok(snapshot),
             other => Err(unexpected("Metrics", &other)),
@@ -403,15 +328,8 @@ impl SirenClient {
     }
 
     /// Recent traces from the daemon's flight recorder, reassembled
-    /// into trees and filtered by `filter` (protocol v2). Like
-    /// [`SirenClient::metrics`], this fails client-side with
-    /// [`ClientError::Unsupported`] on a v1 connection.
+    /// into trees and filtered by `filter`.
     pub fn traces(&mut self, filter: TraceFilter) -> Result<Vec<TraceTree>, ClientError> {
-        if self.version < 2 {
-            return Err(ClientError::Unsupported(
-                "trace queries need a v2 server".into(),
-            ));
-        }
         match self.call(&QueryRequest::Traces(filter))? {
             QueryResponse::Traces(trees) => Ok(trees),
             other => Err(unexpected("Traces", &other)),
@@ -419,37 +337,42 @@ impl SirenClient {
     }
 
     /// Up to `k` fuzzy-hash nearest neighbors of `hash` scoring at
-    /// least `min_score`, best first.
+    /// least `min_score`, best first: a neighbor plan limited to `k`,
+    /// drained.
     pub fn neighbors(
         &mut self,
         hash: &str,
         k: u32,
         min_score: u32,
     ) -> Result<Vec<NeighborRow>, ClientError> {
-        match self.call(&QueryRequest::Neighbors {
-            hash: hash.to_string(),
-            k,
-            min_score,
-        })? {
-            QueryResponse::Neighbors(rows) => Ok(rows),
-            other => Err(unexpected("Neighbors", &other)),
+        let plan = QueryPlan::neighbors(hash, min_score).limit(k.into());
+        let rows = self.query_complete(plan)?;
+        Ok(rows
+            .into_iter()
+            .filter_map(PlanRow::into_neighbor)
+            .collect())
+    }
+
+    /// Drain `plan`, refusing a partial answer: the sugar methods
+    /// return bare rows with nowhere to carry a [`QueryWarning`], so a
+    /// router's degradation notice becomes the typed error it stands
+    /// for instead of a silently incomplete result.
+    fn query_complete(&mut self, plan: QueryPlan) -> Result<Vec<PlanRow>, ClientError> {
+        let (rows, warnings) = self.query(plan)?.collect_rows_warned()?;
+        match warnings.into_iter().next() {
+            None => Ok(rows),
+            Some(warning) => Err(ClientError::Server(QueryError::Internal(
+                warning.to_string(),
+            ))),
         }
     }
 
-    /// Open `plan`'s row stream. On a v2 connection the server streams
-    /// bounded batch frames and the returned [`RowStream`] reads them
-    /// **on demand** — the first row is available after the first batch
-    /// frame, long before a large answer finishes, and pages beyond the
-    /// first are fetched through the server-side cursor only as the
-    /// iterator is advanced. Dropping the stream early closes the
-    /// cursor.
-    ///
-    /// Against a v1 server the plan is translated to the closest v1
-    /// request where one exists (job-filtered record plans →
-    /// `ByJob`; unfiltered neighbor plans → `Neighbors`) and the
-    /// selection/order/limit/projection are applied client-side;
-    /// inexpressible plans (usage tables, unkeyed record scans,
-    /// filtered neighbor plans) fail with [`ClientError::Unsupported`].
+    /// Open `plan`'s row stream. The server streams bounded batch
+    /// frames and the returned [`RowStream`] reads them **on demand** —
+    /// the first row is available after the first batch frame, long
+    /// before a large answer finishes, and pages beyond the first are
+    /// fetched through the server-side cursor only as the iterator is
+    /// advanced. Dropping the stream early closes the cursor.
     pub fn query(&mut self, plan: QueryPlan) -> Result<RowStream<'_>, ClientError> {
         self.query_inner(plan, None)
     }
@@ -458,18 +381,12 @@ impl SirenClient {
     /// request's trace context: every server-side span of the plan's
     /// execution — queue wait, execution, per-batch serialization, and
     /// later cursor fetches — lands under that trace id, retrievable
-    /// through [`SirenClient::traces`]. Needs a v2 connection; v1 frames
-    /// cannot carry a trace id.
+    /// through [`SirenClient::traces`].
     pub fn query_traced(
         &mut self,
         plan: QueryPlan,
         trace: TraceId,
     ) -> Result<RowStream<'_>, ClientError> {
-        if self.version < 2 {
-            return Err(ClientError::Unsupported(
-                "trace propagation needs a v2 server".into(),
-            ));
-        }
         self.query_inner(plan, Some(trace))
     }
 
@@ -480,32 +397,20 @@ impl SirenClient {
     ) -> Result<RowStream<'_>, ClientError> {
         self.check_usable()?;
         plan.validate().map_err(ClientError::Server)?;
-        if self.version >= 2 {
-            self.send_traced(&QueryRequest::Plan(plan), trace)?;
-            return Ok(RowStream {
-                client: self,
-                buffer: VecDeque::new(),
-                cursor: None,
-                mid_reply: true,
-                done: false,
-                failed: false,
-                warnings: Vec::new(),
-            });
-        }
-        let rows = self.query_v1_fallback(&plan)?;
+        self.send_traced(&QueryRequest::Plan(plan), trace)?;
         Ok(RowStream {
             client: self,
-            buffer: rows.into(),
+            buffer: VecDeque::new(),
             cursor: None,
-            mid_reply: false,
-            done: true,
+            mid_reply: true,
+            done: false,
             failed: false,
             warnings: Vec::new(),
         })
     }
 
     /// Subscribe to the daemon's committed epochs from `from_epoch`
-    /// (protocol v3, replication). The returned [`EpochStream`] yields
+    /// (replication). The returned [`EpochStream`] yields
     /// one fully verified epoch at a time — batch and epoch checksums
     /// checked, counts reconciled against the commit marker — and
     /// finally the `End` event naming the next epoch to subscribe
@@ -517,11 +422,6 @@ impl SirenClient {
         batch_rows: u32,
     ) -> Result<EpochStream<'_>, ClientError> {
         self.check_usable()?;
-        if self.version < 3 {
-            return Err(ClientError::Unsupported(
-                "epoch subscriptions need a v3 server".into(),
-            ));
-        }
         self.send(&QueryRequest::SubscribeEpochs {
             from_epoch,
             batch_rows,
@@ -532,56 +432,6 @@ impl SirenClient {
             done: false,
             failed: false,
         })
-    }
-
-    /// Answer a plan with v1 requests plus client-side post-processing.
-    fn query_v1_fallback(&mut self, plan: &QueryPlan) -> Result<Vec<PlanRow>, ClientError> {
-        match &plan.source {
-            PlanSource::Records => {
-                let Some(job_id) = plan.selection.job_filter() else {
-                    return Err(ClientError::Unsupported(
-                        "record plans without a job filter need a v2 server".into(),
-                    ));
-                };
-                let mut rows = self.by_job(job_id)?;
-                rows.retain(|row| plan.selection.matches(row.epoch, &row.record));
-                match plan.order {
-                    Order::Commit => {}
-                    // Stable sort: ties keep commit order, matching the
-                    // server-side executor.
-                    Order::TimeAsc => rows.sort_by_key(|row| row.record.key.time),
-                    Order::TimeDesc => {
-                        rows.sort_by_key(|row| std::cmp::Reverse(row.record.key.time))
-                    }
-                }
-                if let Some(limit) = plan.limit {
-                    rows.truncate(usize::try_from(limit).unwrap_or(usize::MAX));
-                }
-                for row in &mut rows {
-                    plan.projection.apply(&mut row.record);
-                }
-                Ok(rows.into_iter().map(PlanRow::Record).collect())
-            }
-            PlanSource::Neighbors { hash, min_score } => {
-                if !plan.selection.is_unfiltered() {
-                    return Err(ClientError::Unsupported(
-                        "filtered neighbor plans need a v2 server".into(),
-                    ));
-                }
-                let k = plan
-                    .limit
-                    .map(|l| u32::try_from(l).unwrap_or(u32::MAX))
-                    .unwrap_or(u32::MAX);
-                let mut rows = self.neighbors(hash, k, *min_score)?;
-                for row in &mut rows {
-                    plan.projection.apply(&mut row.record);
-                }
-                Ok(rows.into_iter().map(PlanRow::Neighbor).collect())
-            }
-            PlanSource::UsageTable => Err(ClientError::Unsupported(
-                "usage-table plans need a v2 server".into(),
-            )),
-        }
     }
 }
 
@@ -603,8 +453,7 @@ pub struct RowStream<'c> {
     mid_reply: bool,
     done: bool,
     failed: bool,
-    /// Degradation notices absorbed from the stream (v2+), in arrival
-    /// order.
+    /// Degradation notices absorbed from the stream, in arrival order.
     warnings: Vec<QueryWarning>,
 }
 
@@ -946,9 +795,7 @@ impl Drop for EpochStream<'_> {
 pub(crate) fn unexpected(wanted: &str, got: &QueryResponse) -> ClientError {
     let kind = match got {
         QueryResponse::Status(_) => "Status",
-        QueryResponse::Rows(_) => "Rows",
         QueryResponse::LibraryUsage(_) => "LibraryUsage",
-        QueryResponse::Neighbors(_) => "Neighbors",
         QueryResponse::Batch(_) => "Batch",
         QueryResponse::StreamEnd { .. } => "StreamEnd",
         QueryResponse::Metrics(_) => "Metrics",

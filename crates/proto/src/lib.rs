@@ -1,15 +1,16 @@
-//! # siren-proto — the versioned SIREN query wire protocol
+//! # siren-proto — the SIREN query wire protocol
 //!
-//! The service daemon (`siren-service`) answers analyst queries over
-//! TCP; this crate is the wire contract both sides speak, kept free of
-//! any server machinery so clients, tooling, and tests can depend on it
-//! alone.
+//! The service daemon (`siren-service`) and the federation router
+//! (`siren-federation`) answer analyst queries over TCP; this crate is
+//! the wire contract both sides speak, kept free of any server
+//! machinery so clients, tooling, and tests can depend on it alone.
+//! There is one protocol version, [`PROTOCOL_VERSION`] (3).
 //!
-//! ## Frame layout
+//! ## Frame
 //!
-//! Every unit on the wire — the hello exchange, requests, responses —
-//! travels in exactly the frame `siren-store`'s WAL uses
-//! ([`siren_store::encode_frame`]; one seam, not two framings):
+//! Every unit on the wire travels in exactly the frame `siren-store`'s
+//! WAL uses ([`siren_store::encode_frame`]; one seam, not two
+//! framings):
 //!
 //! ```text
 //! [0xD8 magic][len: u32 LE][payload: len bytes][FNV-1a/64(payload): u64 LE]
@@ -20,58 +21,48 @@
 //! hostile length prefix can never balloon memory, and verifies the
 //! checksum before handing the payload to the typed codec.
 //!
-//! ## Version negotiation
+//! ## Hello
 //!
-//! A connection opens with one client hello frame (`b"SRNQ"` + the
-//! client's supported `[min, max]` version range, little-endian `u16`s).
-//! The server answers with a hello-ack frame (`b"SRNQ"` + the chosen
-//! version — the highest both sides support) or a
-//! [`QueryError::UnsupportedVersion`] error frame and closes. Every
-//! subsequent frame on the connection is a [`QueryRequest`] (client →
-//! server) or [`QueryResponse`] (server → client) payload encoded under
-//! the negotiated version.
+//! A connection opens with one client hello frame (`b"SRNQ"` + an
+//! offered `[min, max]` version range, little-endian `u16`s). If the
+//! range contains 3 the server answers with a hello-ack frame
+//! (`b"SRNQ"` + `3u16`); otherwise it sends a plain
+//! [`QueryError::UnsupportedVersion`]` { 3, 3 }` error frame and closes
+//! ([`negotiate`]). A hello that does not decode draws a plain
+//! [`QueryError::Malformed`] frame and a close.
 //!
-//! ## Typed codec
+//! ## Envelope
 //!
-//! [`QueryRequest`] and [`QueryResponse`] encode with the shared
-//! `siren-store` codec helpers (length-prefixed strings, little-endian
-//! integers); [`Selection`] is the single record-filter type, publicly
-//! constructible via its `epoch()/host()/between()` builders (plus the
-//! v2 `job()/epochs()` restrictions) and reused by the in-process
-//! snapshot API. Decoders return [`QueryError::Malformed`] on any
-//! structural inconsistency and never panic — property tests in
+//! Every frame after the hello is a **stream envelope**
+//! (`[stream id: u32][flags: u8][body]` — see [`stream`]) around one
+//! [`QueryRequest`] (client → server) or [`QueryResponse`] (server →
+//! client) body. The stream id lets several cursor streams and
+//! single-frame requests interleave over one connection ([`MuxClient`] /
+//! [`MuxStream`]; the sequential [`SirenClient`] uses a fresh id per
+//! exchange), and the flags negotiate per-request LZ compression of
+//! large reply bodies ([`STREAM_FLAG_ACCEPT_COMPRESSED`]). Every
+//! request body ends in a trace id (`0` = untraced).
+//!
+//! ## Requests
+//!
+//! * `Plan` — a composable [`QueryPlan`] (source, [`Selection`],
+//!   projection, order, limit) answered as a stream of bounded
+//!   [`RowBatch`] frames, an optional [`QueryWarning`], and a
+//!   [`QueryResponse::StreamEnd`] that is either *end of rows* or a
+//!   cursor id; `FetchCursor` / `CloseCursor` resume or release it.
+//!   Cursors pin the snapshot the plan started on. The client's
+//!   [`SirenClient::by_job`] and [`SirenClient::neighbors`] are plans.
+//! * `LibraryUsage`, `Status`, `Metrics`, `Traces` — single-frame
+//!   answers no plan expresses.
+//! * `SubscribeEpochs` — replication: checksummed epoch batches, commit
+//!   markers, and an end frame naming the next epoch to ask for.
+//!
+//! Request tags 1 and 3 are reserved (they carried retired one-shots)
+//! and draw [`QueryError::UnknownRequest`] with the connection kept.
+//! Decoders return [`QueryError::Malformed`] on any structural
+//! inconsistency and never panic — property tests in
 //! `tests/roundtrip.rs` fuzz every variant plus truncations and bit
-//! flips, for both negotiated versions.
-//!
-//! ## Protocol v2: plans, streams, cursors
-//!
-//! Version 2 replaces the one-question/one-frame shape with a
-//! composable [`QueryPlan`] (source, shared selection with epoch-slice
-//! support, projection, order, limit) answered as a **stream** of
-//! bounded [`RowBatch`] frames terminated by a
-//! [`QueryResponse::StreamEnd`] frame that is either *end of rows* or
-//! a resumable cursor id. Cursors are parked server-side with the
-//! `Arc` snapshot the plan started on pinned, so resuming pages stays
-//! consistent while epochs commit concurrently. The typed client side
-//! is [`SirenClient::query`], returning a lazy [`RowStream`]. All of
-//! it is negotiated: a v1 peer on the same port sees byte-identical v1
-//! behavior, and v2-only tags on a v1 connection draw
-//! [`QueryError::UnknownRequest`].
-//!
-//! ## Protocol v3: stream multiplexing and compressed frames
-//!
-//! Version 3 changes nothing about the hello exchange or the v1/v2
-//! byte layouts. On a v3 connection, every post-handshake frame
-//! payload is a **stream envelope** (`[stream id: u32][flags: u8]` —
-//! see [`stream`]) wrapping the unchanged v2 request/response
-//! encoding. The stream id lets several cursor streams and one-shot
-//! requests interleave over one connection ([`MuxClient`] /
-//! [`MuxStream`] on the client side; the sequential [`SirenClient`]
-//! uses a fresh id per exchange), and the flags negotiate per-request
-//! LZ compression of large reply bodies
-//! ([`STREAM_FLAG_ACCEPT_COMPRESSED`]). The server additionally
-//! prefetches the next cursor page while the client drains the current
-//! one — invisible on the wire except as latency.
+//! flips.
 
 pub mod client;
 pub mod frame;
@@ -105,7 +96,7 @@ pub use siren_obs::{
     TraceFilter, TraceId, TraceTree,
 };
 
-/// Lowest protocol version this build still speaks.
-pub const PROTOCOL_VERSION_MIN: u16 = 1;
-/// Highest (current) protocol version this build speaks.
+/// Lowest protocol version this build speaks — the only one.
+pub const PROTOCOL_VERSION_MIN: u16 = PROTOCOL_VERSION;
+/// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u16 = 3;

@@ -20,45 +20,34 @@ use siren_store::codec::{get_bytes, get_str, put_bytes, put_str};
 /// First bytes of the hello and hello-ack payloads.
 pub const HELLO_MAGIC: [u8; 4] = *b"SRNQ";
 
-// Request payload tags. Tags 4+ are protocol v2; a v1 connection
-// answers them with `QueryError::UnknownRequest`, exactly as a v1-only
-// server build would.
+// Request payload tags. Tags 1 and 3 are reserved: they carried the
+// retired `ByJob`/`Neighbors` one-shots, whose answers are plans now,
+// and decode as `QueryError::UnknownRequest` with the connection kept.
 const REQ_STATUS: u8 = 0;
-const REQ_BY_JOB: u8 = 1;
 const REQ_LIBRARY_USAGE: u8 = 2;
-const REQ_NEIGHBORS: u8 = 3;
 const REQ_PLAN: u8 = 4;
 const REQ_FETCH_CURSOR: u8 = 5;
 const REQ_CLOSE_CURSOR: u8 = 6;
 const REQ_METRICS: u8 = 7;
 const REQ_TRACES: u8 = 8;
-// Tag 9 is protocol v3: replication epoch subscription. v1/v2
-// connections answer it with `QueryError::UnknownRequest` and survive.
 const REQ_SUBSCRIBE_EPOCHS: u8 = 9;
 
 // Response payload tags. `b'S'` (0x53) is reserved so a hello-ack can
-// never be mistaken for a response payload. Tags 4 and 5 are protocol
-// v2 stream frames and never appear on a v1 connection.
+// never be mistaken for a response payload; tags 1 and 3 are reserved
+// for the retired one-shot answers and decode as malformed.
 const RESP_STATUS: u8 = 0;
-const RESP_ROWS: u8 = 1;
 const RESP_LIBRARY_USAGE: u8 = 2;
-const RESP_NEIGHBORS: u8 = 3;
 const RESP_BATCH: u8 = 4;
 const RESP_STREAM_END: u8 = 5;
 const RESP_METRICS: u8 = 6;
 const RESP_TRACES: u8 = 7;
-// Tags 8–10 are protocol v3 replication stream frames and never
-// appear on a v1/v2 connection.
 const RESP_EPOCH_BATCH: u8 = 8;
 const RESP_EPOCH_COMMIT: u8 = 9;
 const RESP_SUBSCRIBE_END: u8 = 10;
-// Tag 11 is a v2 stream frame (degraded-stream warning) introduced by
-// the federation tier; it rides any v2+ connection, never v1.
 const RESP_WARNING: u8 = 11;
 const RESP_ERROR: u8 = 0xFF;
 
-// QueryError codes. Codes 6+ are v2-only and can only be drawn by v2
-// requests, so a v1 peer never has to decode them.
+// QueryError codes.
 const ERR_MALFORMED: u8 = 0;
 const ERR_UNSUPPORTED_VERSION: u8 = 1;
 const ERR_UNKNOWN_REQUEST: u8 = 2;
@@ -93,12 +82,6 @@ impl ShardKey<'_> {
 /// A reusable record filter: all present conditions are ANDed. The one
 /// filter type shared by the wire protocol and the in-process snapshot
 /// API, publicly constructible via its builder methods.
-///
-/// The `job` and `epochs` (epoch-slice) restrictions are protocol v2
-/// additions: they ride in [`QueryPlan`] requests and in v2-negotiated
-/// `LibraryUsage` requests; sending a selection that uses them over a
-/// v1 connection is a client-side error (see
-/// [`Selection::requires_v2`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Selection {
     epoch: Option<u64>,
@@ -132,24 +115,23 @@ impl Selection {
     /// or exactly `end` matches, so `between(t, t)` selects the single
     /// timestamp `t`. An inverted range (`start > end`) is structurally
     /// invalid — [`Selection::validate`] rejects it with a typed
-    /// [`QueryError::InvalidPlan`], and every protocol-v2 path (plan
-    /// execution, v2-negotiated requests) validates before producing a
-    /// row. The v1 wire path and the in-process builder API keep their
-    /// historical match-nothing behavior, which deployed callers may
-    /// rely on; validate explicitly there if a typed error is wanted.
+    /// [`QueryError::InvalidPlan`], and every wire request validates
+    /// before producing a row. The in-process builder API keeps the
+    /// match-nothing behavior; validate explicitly there if a typed
+    /// error is wanted.
     pub fn between(mut self, start: u64, end: u64) -> Self {
         self.time_range = Some((start, end));
         self
     }
 
-    /// Restrict to one job (protocol v2).
+    /// Restrict to one job.
     pub fn job(mut self, job_id: u64) -> Self {
         self.job = Some(job_id);
         self
     }
 
-    /// Restrict to the **inclusive** epoch slice `lo ..= hi` (protocol
-    /// v2). Layer-aligned: the server answers epoch-slice plans
+    /// Restrict to the **inclusive** epoch slice `lo ..= hi`.
+    /// Layer-aligned: the server answers epoch-slice plans
     /// straight from the snapshot layers holding those epochs. Inverted
     /// slices are rejected by [`Selection::validate`], like inverted
     /// time ranges.
@@ -198,11 +180,6 @@ impl Selection {
     /// True when no condition is set (every record matches).
     pub fn is_unfiltered(&self) -> bool {
         *self == Self::default()
-    }
-
-    /// True when the selection uses fields protocol v1 cannot carry.
-    pub fn requires_v2(&self) -> bool {
-        self.job.is_some() || self.epoch_range.is_some()
     }
 
     /// Reject structurally invalid selections: inverted time ranges and
@@ -309,7 +286,7 @@ impl Selection {
         }
     }
 
-    pub(crate) fn put(&self, out: &mut Vec<u8>, version: u16) {
+    pub(crate) fn put(&self, out: &mut Vec<u8>) {
         match self.epoch {
             None => out.push(0),
             Some(e) => {
@@ -332,28 +309,24 @@ impl Selection {
                 out.extend_from_slice(&hi.to_le_bytes());
             }
         }
-        // v1 stops here, byte-identical to every v1 build; the v2
-        // fields are additive.
-        if version >= 2 {
-            match self.job {
-                None => out.push(0),
-                Some(j) => {
-                    out.push(1);
-                    out.extend_from_slice(&j.to_le_bytes());
-                }
+        match self.job {
+            None => out.push(0),
+            Some(j) => {
+                out.push(1);
+                out.extend_from_slice(&j.to_le_bytes());
             }
-            match self.epoch_range {
-                None => out.push(0),
-                Some((lo, hi)) => {
-                    out.push(1);
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&hi.to_le_bytes());
-                }
+        }
+        match self.epoch_range {
+            None => out.push(0),
+            Some((lo, hi)) => {
+                out.push(1);
+                out.extend_from_slice(&lo.to_le_bytes());
+                out.extend_from_slice(&hi.to_le_bytes());
             }
         }
     }
 
-    pub(crate) fn get(data: &[u8], pos: &mut usize, version: u16) -> Option<Self> {
+    pub(crate) fn get(data: &[u8], pos: &mut usize) -> Option<Self> {
         let epoch = match take(data, pos, 1)?[0] {
             0 => None,
             1 => Some(get_u64(data, pos)?),
@@ -369,20 +342,15 @@ impl Selection {
             1 => Some((get_u64(data, pos)?, get_u64(data, pos)?)),
             _ => return None,
         };
-        let (job, epoch_range) = if version >= 2 {
-            let job = match take(data, pos, 1)?[0] {
-                0 => None,
-                1 => Some(get_u64(data, pos)?),
-                _ => return None,
-            };
-            let epoch_range = match take(data, pos, 1)?[0] {
-                0 => None,
-                1 => Some((get_u64(data, pos)?, get_u64(data, pos)?)),
-                _ => return None,
-            };
-            (job, epoch_range)
-        } else {
-            (None, None)
+        let job = match take(data, pos, 1)?[0] {
+            0 => None,
+            1 => Some(get_u64(data, pos)?),
+            _ => return None,
+        };
+        let epoch_range = match take(data, pos, 1)?[0] {
+            0 => None,
+            1 => Some((get_u64(data, pos)?, get_u64(data, pos)?)),
+            _ => return None,
         };
         Some(Self {
             epoch,
@@ -682,47 +650,34 @@ fn get_traces(data: &[u8], pos: &mut usize) -> Option<Vec<TraceTree>> {
 pub enum QueryRequest {
     /// Daemon liveness + store shape + ingest-health counters.
     Status,
-    /// Every committed record of one job, across epochs.
-    ByJob {
-        /// Slurm job id.
-        job_id: u64,
-    },
-    /// Library-usage aggregation over a [`Selection`].
+    /// Library-usage aggregation over a [`Selection`] (no plan source
+    /// expresses it: per-library host counts are distinct-counts).
     LibraryUsage {
-        /// Record filter (host, time range, epoch).
+        /// Record filter (host, time range, epoch, job, epoch slice).
         selection: Selection,
     },
-    /// Fuzzy-hash nearest neighbors over the records' `FILE_H` column.
-    Neighbors {
-        /// SSDeep-style `block:sig1:sig2` probe hash.
-        hash: String,
-        /// Maximum hits returned.
-        k: u32,
-        /// Minimum similarity score (0–100).
-        min_score: u32,
-    },
-    /// Open a composable plan's row stream (protocol v2).
+    /// Open a composable plan's row stream.
     Plan(QueryPlan),
-    /// Resume a paginated stream from a server-held cursor (v2).
+    /// Resume a paginated stream from a server-held cursor.
     FetchCursor {
         /// Cursor id from a previous `StreamEnd` frame.
         cursor: u64,
     },
-    /// Release a cursor without draining it (v2). Answered with an
+    /// Release a cursor without draining it. Answered with an
     /// end-of-stream frame as the acknowledgement.
     CloseCursor {
         /// Cursor id to release.
         cursor: u64,
     },
-    /// Snapshot the daemon's whole metric tree (v2): counters, gauges,
+    /// Snapshot the daemon's whole metric tree: counters, gauges,
     /// latency histograms, and the slow-query ring.
     Metrics,
-    /// Query the flight recorder (v2): recent traces reassembled into
+    /// Query the flight recorder: recent traces reassembled into
     /// trees, filtered by trace id, plan fingerprint, minimum duration,
     /// or stage name.
     Traces(TraceFilter),
-    /// Subscribe to the leader's committed epochs (protocol v3,
-    /// replication). The server streams every epoch `>= from_epoch`
+    /// Subscribe to the leader's committed epochs (replication). The
+    /// server streams every epoch `>= from_epoch`
     /// committed at subscribe time as checksummed
     /// [`QueryResponse::EpochBatch`] frames, each epoch closed by an
     /// [`QueryResponse::EpochCommit`] marker, and terminates the reply
@@ -739,33 +694,20 @@ pub enum QueryRequest {
 }
 
 impl QueryRequest {
-    /// Encode to a frame payload under the connection's negotiated
-    /// `version`. v1 encodings are byte-identical to every v1 build.
-    pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
-        self.encode_traced(version, None)
+    /// Encode to a request body (the payload inside a stream envelope).
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_traced(None)
     }
 
-    /// Encode with an optional trace context. On a v2 connection every
-    /// request frame carries a trailing trace id (`0` = untraced, the
-    /// server generates a root); v1 frames never carry one and stay
-    /// byte-identical to every v1 build.
-    pub fn encode_traced(&self, version: u16, trace: Option<TraceId>) -> Vec<u8> {
+    /// Encode with an optional trace context: every request body ends
+    /// in a trace id (`0` = untraced, the server generates a root).
+    pub fn encode_traced(&self, trace: Option<TraceId>) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
         match self {
             QueryRequest::Status => out.push(REQ_STATUS),
-            QueryRequest::ByJob { job_id } => {
-                out.push(REQ_BY_JOB);
-                out.extend_from_slice(&job_id.to_le_bytes());
-            }
             QueryRequest::LibraryUsage { selection } => {
                 out.push(REQ_LIBRARY_USAGE);
-                selection.put(&mut out, version);
-            }
-            QueryRequest::Neighbors { hash, k, min_score } => {
-                out.push(REQ_NEIGHBORS);
-                put_str(&mut out, hash);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&min_score.to_le_bytes());
+                selection.put(&mut out);
             }
             QueryRequest::Plan(plan) => {
                 out.push(REQ_PLAN);
@@ -793,54 +735,26 @@ impl QueryRequest {
                 out.extend_from_slice(&batch_rows.to_le_bytes());
             }
         }
-        if version >= 2 {
-            out.extend_from_slice(&trace.map(|t| t.0).unwrap_or(0).to_le_bytes());
-        }
+        out.extend_from_slice(&trace.map(|t| t.0).unwrap_or(0).to_le_bytes());
         out
     }
 
-    /// Encode under the current protocol version.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
+    /// Decode a request body. Unknown tags and malformed bodies come
+    /// back as the [`QueryError`] the server should answer with.
+    pub fn decode(data: &[u8]) -> Result<Self, QueryError> {
+        Self::decode_traced(data).map(|(req, _)| req)
     }
 
-    /// Decode a frame payload under the connection's negotiated
-    /// `version`. Unknown tags and malformed bodies come back as the
-    /// [`QueryError`] the server should answer with; a v2 tag arriving
-    /// on a v1 connection is an unknown request there, exactly as a
-    /// v1-only server build would answer.
-    pub fn decode_versioned(data: &[u8], version: u16) -> Result<Self, QueryError> {
-        Self::decode_traced(data, version).map(|(req, _)| req)
-    }
-
-    /// Decode a frame payload along with its trace context. On a v2
-    /// connection every request frame ends in a trailing trace id (`0`
-    /// decodes as `None`); v1 frames never carry one.
-    pub fn decode_traced(data: &[u8], version: u16) -> Result<(Self, Option<TraceId>), QueryError> {
+    /// Decode a request body along with its trailing trace id (`0`
+    /// decodes as `None`).
+    pub fn decode_traced(data: &[u8]) -> Result<(Self, Option<TraceId>), QueryError> {
         let malformed = || QueryError::Malformed("truncated or inconsistent request".into());
         let (&tag, body) = data.split_first().ok_or_else(malformed)?;
-        if version < 2 && (REQ_PLAN..=REQ_TRACES).contains(&tag) {
-            return Err(QueryError::UnknownRequest(tag));
-        }
-        // Replication subscription is v3-only; a v1/v2 peer sees the
-        // tag exactly as an older server build would: unknown, with
-        // the connection surviving.
-        if version < 3 && tag == REQ_SUBSCRIBE_EPOCHS {
-            return Err(QueryError::UnknownRequest(tag));
-        }
         let mut pos = 0usize;
         let req = match tag {
             REQ_STATUS => QueryRequest::Status,
-            REQ_BY_JOB => QueryRequest::ByJob {
-                job_id: get_u64(body, &mut pos).ok_or_else(malformed)?,
-            },
             REQ_LIBRARY_USAGE => QueryRequest::LibraryUsage {
-                selection: Selection::get(body, &mut pos, version).ok_or_else(malformed)?,
-            },
-            REQ_NEIGHBORS => QueryRequest::Neighbors {
-                hash: get_str(body, &mut pos).ok_or_else(malformed)?,
-                k: get_u32(body, &mut pos).ok_or_else(malformed)?,
-                min_score: get_u32(body, &mut pos).ok_or_else(malformed)?,
+                selection: Selection::get(body, &mut pos).ok_or_else(malformed)?,
             },
             REQ_PLAN => QueryRequest::Plan(QueryPlan::get(body, &mut pos).ok_or_else(malformed)?),
             REQ_FETCH_CURSOR => QueryRequest::FetchCursor {
@@ -859,30 +773,22 @@ impl QueryRequest {
             },
             other => return Err(QueryError::UnknownRequest(other)),
         };
-        let trace = if version >= 2 {
-            match get_u64(body, &mut pos).ok_or_else(malformed)? {
-                0 => None,
-                id => Some(TraceId(id)),
-            }
-        } else {
-            None
+        let trace = match get_u64(body, &mut pos).ok_or_else(malformed)? {
+            0 => None,
+            id => Some(TraceId(id)),
         };
         if pos != body.len() {
             return Err(QueryError::Malformed("trailing bytes after request".into()));
         }
         Ok((req, trace))
     }
-
-    /// Decode under the current protocol version.
-    pub fn decode(data: &[u8]) -> Result<Self, QueryError> {
-        Self::decode_versioned(data, PROTOCOL_VERSION)
-    }
 }
 
 /// Daemon status, as served to clients.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatusInfo {
-    /// Protocol version the server is speaking on this connection.
+    /// Protocol version the server is speaking on this connection
+    /// (always [`PROTOCOL_VERSION`] on the wire; `0` in-process).
     pub protocol_version: u16,
     /// Epochs committed to the consolidated store, ascending.
     pub committed_epochs: Vec<u64>,
@@ -897,25 +803,26 @@ pub struct StatusInfo {
     /// quorum (every `TYPE=END` copy lost), since daemon start.
     pub quiet_period_fallbacks: u64,
     /// Query connections refused because the server's accept queue was
-    /// full, since daemon start (protocol v2; zero on a v1 answer).
+    /// full, since daemon start.
     pub queries_refused: u64,
-    /// Cursors currently parked in the server's cursor table (v2).
+    /// Cursors currently parked in the server's cursor table.
     pub open_cursors: u64,
     /// Negotiated-version histogram: `(version, connections)` pairs,
-    /// ascending by version, since daemon start (v2).
+    /// ascending by version, since daemon start. With one protocol
+    /// version it holds at most `(3, connections)`.
     pub version_connections: Vec<(u16, u64)>,
     /// Replication high-water mark: the next epoch this daemon would
     /// request from its leader, i.e. every epoch below it is applied
-    /// and durable locally (protocol v3; zero on a non-follower).
+    /// and durable locally (zero on a non-follower).
     pub repl_high_water: u64,
     /// Epochs this follower trails its leader by, as of the last
-    /// subscription exchange (v3; zero on a non-follower).
+    /// subscription exchange (zero on a non-follower).
     pub repl_lag_epochs: u64,
     /// Sealed-store bytes this follower trails its leader by, as of
-    /// the last subscription exchange (v3; zero on a non-follower).
+    /// the last subscription exchange (zero on a non-follower).
     pub repl_lag_bytes: u64,
     /// Reconnect attempts the follower's replication loop has made
-    /// since daemon start (v3; zero on a non-follower).
+    /// since daemon start (zero on a non-follower).
     pub repl_reconnects: u64,
 }
 
@@ -928,7 +835,7 @@ pub struct RecordRow {
     pub record: ProcessRecord,
 }
 
-/// One bounded frame of a replication epoch stream (protocol v3): a
+/// One bounded frame of a replication epoch stream: a
 /// slice of one epoch's consolidated records, in the leader's
 /// consolidation order. The wire encoding appends an FNV-1a/64
 /// checksum over the raw record encodings; the decoder recomputes and
@@ -981,8 +888,8 @@ pub struct NeighborRow {
     pub record: ProcessRecord,
 }
 
-/// A non-fatal degradation notice attached to the end of a row stream
-/// (protocol v2+): the rows already delivered are correct, but some
+/// A non-fatal degradation notice attached to the end of a row stream:
+/// the rows already delivered are correct, but some
 /// backends could not contribute, so the result may be a subset of the
 /// full corpus. Federation routers emit one right before the final
 /// `StreamEnd` when shards were unreachable — partial results are
@@ -1011,33 +918,28 @@ impl std::fmt::Display for QueryWarning {
 pub enum QueryResponse {
     /// Answer to [`QueryRequest::Status`].
     Status(StatusInfo),
-    /// Answer to [`QueryRequest::ByJob`].
-    Rows(Vec<RecordRow>),
     /// Answer to [`QueryRequest::LibraryUsage`].
     LibraryUsage(Vec<LibraryUsageRow>),
-    /// Answer to [`QueryRequest::Neighbors`].
-    Neighbors(Vec<NeighborRow>),
-    /// One bounded frame of a plan's row stream (protocol v2). More
-    /// frames of the same reply follow until a `StreamEnd`.
+    /// One bounded frame of a plan's row stream. More frames of the
+    /// same reply follow until a `StreamEnd`.
     Batch(RowBatch),
-    /// Terminates a plan/fetch reply (v2): `cursor` is `Some(id)` when
+    /// Terminates a plan/fetch reply: `cursor` is `Some(id)` when
     /// more rows can be fetched with
     /// [`QueryRequest::FetchCursor`], `None` at end of rows.
     StreamEnd {
         /// Resumable cursor, if rows remain.
         cursor: Option<u64>,
     },
-    /// Answer to [`QueryRequest::Metrics`] (v2): the daemon's whole
-    /// metric tree, frozen.
+    /// Answer to [`QueryRequest::Metrics`]: the daemon's whole metric
+    /// tree, frozen.
     Metrics(MetricsSnapshot),
-    /// Answer to [`QueryRequest::Traces`] (v2): matching trace trees,
-    /// most recent first.
+    /// Answer to [`QueryRequest::Traces`]: matching trace trees, most
+    /// recent first.
     Traces(Vec<TraceTree>),
-    /// One checksummed slice of a replicated epoch (protocol v3).
-    /// Frames of the same epoch arrive contiguously, closed by an
-    /// `EpochCommit`.
+    /// One checksummed slice of a replicated epoch. Frames of the same
+    /// epoch arrive contiguously, closed by an `EpochCommit`.
     EpochBatch(EpochBatch),
-    /// Closes one epoch of a replication stream (v3): the follower may
+    /// Closes one epoch of a replication stream: the follower may
     /// apply the accumulated records iff every count and checksum
     /// matches.
     EpochCommit {
@@ -1049,7 +951,7 @@ pub enum QueryResponse {
         /// shipping order.
         checksum: u64,
     },
-    /// Terminates a [`QueryRequest::SubscribeEpochs`] reply (v3): the
+    /// Terminates a [`QueryRequest::SubscribeEpochs`] reply: the
     /// leader has no further committed epochs in the snapshot this
     /// subscription pinned.
     SubscribeEnd {
@@ -1060,7 +962,7 @@ pub enum QueryResponse {
         /// behind.
         leader_bytes: u64,
     },
-    /// A non-fatal stream degradation notice (v2+): emitted at most
+    /// A non-fatal stream degradation notice: emitted at most
     /// once per row stream, immediately before its final `StreamEnd`.
     /// The stream still terminates normally — the warning marks the
     /// delivered rows as a possibly-partial view.
@@ -1070,11 +972,9 @@ pub enum QueryResponse {
 }
 
 impl QueryResponse {
-    /// Encode to a frame payload under the connection's negotiated
-    /// `version`. v1 encodings are byte-identical to every v1 build —
-    /// the v2-only `StatusInfo` counters are simply not sent to a v1
-    /// peer.
-    pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
+    /// Encode to a response body (the payload inside a stream
+    /// envelope, or a plain frame before the hello is acknowledged).
+    pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
             QueryResponse::Status(status) => {
@@ -1094,29 +994,17 @@ impl QueryResponse {
                 }
                 out.extend_from_slice(&status.epoch_tag_mismatches.to_le_bytes());
                 out.extend_from_slice(&status.quiet_period_fallbacks.to_le_bytes());
-                if version >= 2 {
-                    out.extend_from_slice(&status.queries_refused.to_le_bytes());
-                    out.extend_from_slice(&status.open_cursors.to_le_bytes());
-                    out.extend_from_slice(&(status.version_connections.len() as u32).to_le_bytes());
-                    for (v, n) in &status.version_connections {
-                        out.extend_from_slice(&v.to_le_bytes());
-                        out.extend_from_slice(&n.to_le_bytes());
-                    }
+                out.extend_from_slice(&status.queries_refused.to_le_bytes());
+                out.extend_from_slice(&status.open_cursors.to_le_bytes());
+                out.extend_from_slice(&(status.version_connections.len() as u32).to_le_bytes());
+                for (v, n) in &status.version_connections {
+                    out.extend_from_slice(&v.to_le_bytes());
+                    out.extend_from_slice(&n.to_le_bytes());
                 }
-                if version >= 3 {
-                    out.extend_from_slice(&status.repl_high_water.to_le_bytes());
-                    out.extend_from_slice(&status.repl_lag_epochs.to_le_bytes());
-                    out.extend_from_slice(&status.repl_lag_bytes.to_le_bytes());
-                    out.extend_from_slice(&status.repl_reconnects.to_le_bytes());
-                }
-            }
-            QueryResponse::Rows(rows) => {
-                out.push(RESP_ROWS);
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for row in rows {
-                    out.extend_from_slice(&row.epoch.to_le_bytes());
-                    put_bytes(&mut out, &row.record.encode());
-                }
+                out.extend_from_slice(&status.repl_high_water.to_le_bytes());
+                out.extend_from_slice(&status.repl_lag_epochs.to_le_bytes());
+                out.extend_from_slice(&status.repl_lag_bytes.to_le_bytes());
+                out.extend_from_slice(&status.repl_reconnects.to_le_bytes());
             }
             QueryResponse::LibraryUsage(rows) => {
                 out.push(RESP_LIBRARY_USAGE);
@@ -1125,15 +1013,6 @@ impl QueryResponse {
                     put_str(&mut out, &row.library);
                     out.extend_from_slice(&row.processes.to_le_bytes());
                     out.extend_from_slice(&row.hosts.to_le_bytes());
-                }
-            }
-            QueryResponse::Neighbors(rows) => {
-                out.push(RESP_NEIGHBORS);
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                for row in rows {
-                    out.extend_from_slice(&row.score.to_le_bytes());
-                    out.extend_from_slice(&row.epoch.to_le_bytes());
-                    put_bytes(&mut out, &row.record.encode());
                 }
             }
             QueryResponse::Batch(batch) => {
@@ -1204,32 +1083,26 @@ impl QueryResponse {
         out
     }
 
-    /// Encode under the current protocol version.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
+    /// [`QueryResponse::encode`] under an explicit version, which must
+    /// be [`PROTOCOL_VERSION`]. Kept for path-dependency consumers.
+    #[doc(hidden)]
+    pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
+        debug_assert_eq!(version, PROTOCOL_VERSION);
+        self.encode()
     }
 
-    /// Decode a frame payload under the connection's negotiated
-    /// `version`.
+    /// [`QueryResponse::decode`] under an explicit version, which must
+    /// be [`PROTOCOL_VERSION`]. Kept for path-dependency consumers.
+    #[doc(hidden)]
     pub fn decode_versioned(data: &[u8], version: u16) -> Result<Self, QueryError> {
+        debug_assert_eq!(version, PROTOCOL_VERSION);
+        Self::decode(data)
+    }
+
+    /// Decode a response body.
+    pub fn decode(data: &[u8]) -> Result<Self, QueryError> {
         let malformed = || QueryError::Malformed("truncated or inconsistent response".into());
         let (&tag, body) = data.split_first().ok_or_else(malformed)?;
-        if version < 2
-            && (tag == RESP_BATCH
-                || tag == RESP_STREAM_END
-                || tag == RESP_METRICS
-                || tag == RESP_TRACES
-                || tag == RESP_WARNING)
-        {
-            return Err(QueryError::Malformed(
-                "v2-only response frame on a v1 connection".into(),
-            ));
-        }
-        if version < 3 && (RESP_EPOCH_BATCH..=RESP_SUBSCRIBE_END).contains(&tag) {
-            return Err(QueryError::Malformed(
-                "v3-only response frame on an older connection".into(),
-            ));
-        }
         let mut pos = 0usize;
         let resp = match tag {
             RESP_STATUS => {
@@ -1248,33 +1121,17 @@ impl QueryResponse {
                 };
                 let epoch_tag_mismatches = get_u64(body, &mut pos).ok_or_else(malformed)?;
                 let quiet_period_fallbacks = get_u64(body, &mut pos).ok_or_else(malformed)?;
-                let (queries_refused, open_cursors, version_connections) = if version >= 2 {
-                    let refused = get_u64(body, &mut pos).ok_or_else(malformed)?;
-                    let cursors = get_u64(body, &mut pos).ok_or_else(malformed)?;
-                    // (version u16, count u64) = 10 wire bytes each.
-                    let n = get_count(body, &mut pos, 10).ok_or_else(malformed)?;
-                    let mut hist = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        hist.push((
-                            get_u16(body, &mut pos).ok_or_else(malformed)?,
-                            get_u64(body, &mut pos).ok_or_else(malformed)?,
-                        ));
-                    }
-                    (refused, cursors, hist)
-                } else {
-                    (0, 0, Vec::new())
-                };
-                let (repl_high_water, repl_lag_epochs, repl_lag_bytes, repl_reconnects) =
-                    if version >= 3 {
-                        (
-                            get_u64(body, &mut pos).ok_or_else(malformed)?,
-                            get_u64(body, &mut pos).ok_or_else(malformed)?,
-                            get_u64(body, &mut pos).ok_or_else(malformed)?,
-                            get_u64(body, &mut pos).ok_or_else(malformed)?,
-                        )
-                    } else {
-                        (0, 0, 0, 0)
-                    };
+                let queries_refused = get_u64(body, &mut pos).ok_or_else(malformed)?;
+                let open_cursors = get_u64(body, &mut pos).ok_or_else(malformed)?;
+                // (version u16, count u64) = 10 wire bytes each.
+                let n = get_count(body, &mut pos, 10).ok_or_else(malformed)?;
+                let mut version_connections = Vec::with_capacity(n);
+                for _ in 0..n {
+                    version_connections.push((
+                        get_u16(body, &mut pos).ok_or_else(malformed)?,
+                        get_u64(body, &mut pos).ok_or_else(malformed)?,
+                    ));
+                }
                 QueryResponse::Status(StatusInfo {
                     protocol_version,
                     committed_epochs,
@@ -1285,23 +1142,11 @@ impl QueryResponse {
                     queries_refused,
                     open_cursors,
                     version_connections,
-                    repl_high_water,
-                    repl_lag_epochs,
-                    repl_lag_bytes,
-                    repl_reconnects,
+                    repl_high_water: get_u64(body, &mut pos).ok_or_else(malformed)?,
+                    repl_lag_epochs: get_u64(body, &mut pos).ok_or_else(malformed)?,
+                    repl_lag_bytes: get_u64(body, &mut pos).ok_or_else(malformed)?,
+                    repl_reconnects: get_u64(body, &mut pos).ok_or_else(malformed)?,
                 })
-            }
-            RESP_ROWS => {
-                // epoch u64 (8) + record byte-length prefix (4).
-                let n = get_count(body, &mut pos, 12).ok_or_else(malformed)?;
-                let mut rows = Vec::with_capacity(decode_capacity(n));
-                for _ in 0..n {
-                    let epoch = get_u64(body, &mut pos).ok_or_else(malformed)?;
-                    let bytes = get_bytes(body, &mut pos).ok_or_else(malformed)?;
-                    let record = ProcessRecord::decode(bytes).ok_or_else(malformed)?;
-                    rows.push(RecordRow { epoch, record });
-                }
-                QueryResponse::Rows(rows)
             }
             RESP_LIBRARY_USAGE => {
                 // library length prefix (4) + processes u64 + hosts u64.
@@ -1315,23 +1160,6 @@ impl QueryResponse {
                     });
                 }
                 QueryResponse::LibraryUsage(rows)
-            }
-            RESP_NEIGHBORS => {
-                // score u32 + epoch u64 + record byte-length prefix (4).
-                let n = get_count(body, &mut pos, 16).ok_or_else(malformed)?;
-                let mut rows = Vec::with_capacity(decode_capacity(n));
-                for _ in 0..n {
-                    let score = get_u32(body, &mut pos).ok_or_else(malformed)?;
-                    let epoch = get_u64(body, &mut pos).ok_or_else(malformed)?;
-                    let bytes = get_bytes(body, &mut pos).ok_or_else(malformed)?;
-                    let record = ProcessRecord::decode(bytes).ok_or_else(malformed)?;
-                    rows.push(NeighborRow {
-                        score,
-                        epoch,
-                        record,
-                    });
-                }
-                QueryResponse::Neighbors(rows)
             }
             RESP_BATCH => {
                 QueryResponse::Batch(RowBatch::get(body, &mut pos).ok_or_else(malformed)?)
@@ -1398,11 +1226,6 @@ impl QueryResponse {
         }
         Ok(resp)
     }
-
-    /// Decode under the current protocol version.
-    pub fn decode(data: &[u8]) -> Result<Self, QueryError> {
-        Self::decode_versioned(data, PROTOCOL_VERSION)
-    }
 }
 
 /// Why a request could not be answered — the structured error the
@@ -1412,14 +1235,15 @@ impl QueryResponse {
 pub enum QueryError {
     /// The payload did not decode.
     Malformed(String),
-    /// No overlap between the client's and the server's version ranges.
+    /// The client's offered version range does not contain the one
+    /// version the server speaks.
     UnsupportedVersion {
         /// Lowest version the server speaks.
         server_min: u16,
         /// Highest version the server speaks.
         server_max: u16,
     },
-    /// The request tag is not known to this server version.
+    /// The request tag is not known (or is reserved) on this server.
     UnknownRequest(u8),
     /// The frame's length prefix exceeded the server's cap.
     FrameTooLarge(u32),
@@ -1429,10 +1253,10 @@ pub enum QueryError {
     Internal(String),
     /// The plan (or a selection inside a request) is structurally
     /// invalid — inverted range bounds, zero batch geometry, an
-    /// ordering the source does not support (protocol v2).
+    /// ordering the source does not support.
     InvalidPlan(String),
     /// The cursor id is not (or no longer) parked on the server — it
-    /// was never issued, was closed, or its TTL expired (protocol v2).
+    /// was never issued, was closed, or its TTL expired.
     UnknownCursor(u64),
 }
 
@@ -1558,13 +1382,11 @@ pub fn decode_hello_ack(payload: &[u8]) -> Option<u16> {
     get_u16(payload, &mut pos)
 }
 
-/// Pick the version a server speaking `[PROTOCOL_VERSION_MIN,
-/// PROTOCOL_VERSION]` should use against a client offering
-/// `[client_min, client_max]`: the highest version in both ranges.
+/// Accept a client offering `[client_min, client_max]` iff the range
+/// contains [`PROTOCOL_VERSION`], the one version this build speaks.
 pub fn negotiate(client_min: u16, client_max: u16) -> Result<u16, QueryError> {
-    let chosen = client_max.min(PROTOCOL_VERSION);
-    if chosen >= client_min && chosen >= PROTOCOL_VERSION_MIN {
-        Ok(chosen)
+    if (client_min..=client_max).contains(&PROTOCOL_VERSION) {
+        Ok(PROTOCOL_VERSION)
     } else {
         Err(QueryError::UnsupportedVersion {
             server_min: PROTOCOL_VERSION_MIN,
@@ -1638,30 +1460,14 @@ mod tests {
     }
 
     #[test]
-    fn warning_roundtrips_on_v2_and_v3() {
+    fn warning_roundtrips() {
         let warning = QueryResponse::Warning(QueryWarning {
             missing: vec!["shard-1".into(), "shard-3".into()],
             detail: "dial refused".into(),
         });
-        for version in [2u16, 3] {
-            let bytes = warning.encode_versioned(version);
-            assert_eq!(bytes[0], RESP_WARNING);
-            let back = QueryResponse::decode_versioned(&bytes, version).unwrap();
-            assert_eq!(back, warning);
-        }
-    }
-
-    #[test]
-    fn warning_is_rejected_on_v1() {
-        let bytes = QueryResponse::Warning(QueryWarning {
-            missing: vec!["s".into()],
-            detail: String::new(),
-        })
-        .encode_versioned(2);
-        assert!(matches!(
-            QueryResponse::decode_versioned(&bytes, 1),
-            Err(QueryError::Malformed(_))
-        ));
+        let bytes = warning.encode();
+        assert_eq!(bytes[0], RESP_WARNING);
+        assert_eq!(QueryResponse::decode(&bytes).unwrap(), warning);
     }
 
     #[test]

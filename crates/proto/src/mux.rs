@@ -1,7 +1,7 @@
-//! The multiplexed v3 client: many interleaved cursor streams over
-//! one TCP connection.
+//! The multiplexed client: many interleaved cursor streams over one
+//! TCP connection.
 //!
-//! [`MuxClient`] is a cheaply cloneable handle around one v3
+//! [`MuxClient`] is a cheaply cloneable handle around one
 //! connection (see [`SirenClient::into_mux`]). Each
 //! [`MuxClient::query`] claims a fresh nonzero stream id, sends the
 //! plan under it, and returns a [`MuxStream`] that owns that id for
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// close; a server violating it is already off-protocol.
 const DRAIN_FRAME_BUDGET: usize = 100_000;
 
-/// A shareable multiplexed connection to a v3 server.
+/// A shareable multiplexed connection to a SIREN server.
 #[derive(Debug, Clone)]
 pub struct MuxClient {
     inner: Arc<Mutex<MuxInner>>,
@@ -84,7 +84,7 @@ impl MuxInner {
         trace: Option<TraceId>,
     ) -> Result<(), ClientError> {
         self.check_usable()?;
-        let body = request.encode_traced(3, trace);
+        let body = request.encode_traced(trace);
         let envelope = encode_stream_frame(stream_id, &body, self.accept_compressed, None);
         if let Err(e) = write_frame(&mut self.stream, &envelope) {
             self.poisoned = true;
@@ -113,7 +113,7 @@ impl MuxInner {
                 return Err(ClientError::Protocol(format!("bad stream envelope: {err}")));
             }
         };
-        let response = match QueryResponse::decode_versioned(&frame.body, 3) {
+        let response = match QueryResponse::decode(&frame.body) {
             Ok(r) => r,
             Err(err) => {
                 self.poisoned = true;
@@ -184,7 +184,7 @@ impl MuxInner {
 }
 
 impl MuxClient {
-    /// Assemble from an already-negotiated v3 socket (used by
+    /// Assemble from an already-negotiated socket (used by
     /// [`SirenClient::into_mux`]).
     ///
     /// [`SirenClient::into_mux`]: crate::client::SirenClient::into_mux

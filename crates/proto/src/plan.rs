@@ -1,20 +1,18 @@
-//! Protocol v2: the composable [`QueryPlan`] and the streamed answer
-//! shapes ([`RowBatch`] frames terminated by an end-or-cursor frame).
+//! The composable [`QueryPlan`] and the streamed answer shapes
+//! ([`RowBatch`] frames terminated by an end-or-cursor frame).
 //!
-//! v1 asked one of a closed set of questions and buffered the whole
-//! answer into a single frame. v2 instead ships a *plan* — a source
-//! (committed records, the per-user usage table, or fuzzy neighbors),
-//! one shared [`Selection`] filter (now with epoch-slice support),
-//! a projection, an ordering, and a limit — and the server answers
-//! with a stream of bounded [`RowBatch`] frames. Each reply ends with
-//! a [`QueryResponse::StreamEnd`](crate::QueryResponse::StreamEnd)
-//! frame carrying either *end of rows* or a resumable cursor id; the
-//! cursor pins the `Arc` snapshot the plan started on, so pagination
-//! stays consistent across epoch commits landing mid-stream.
+//! A client ships a *plan* — a source (committed records, the per-user
+//! usage table, or fuzzy neighbors), one shared [`Selection`] filter, a
+//! projection, an ordering, and a limit — and the server answers with a
+//! stream of bounded [`RowBatch`] frames. Each reply ends with a
+//! [`QueryResponse::StreamEnd`](crate::QueryResponse::StreamEnd) frame
+//! carrying either *end of rows* or a resumable cursor id; the cursor
+//! pins the `Arc` snapshot the plan started on, so pagination stays
+//! consistent across epoch commits landing mid-stream.
 //!
-//! Every future question becomes a new [`PlanSource`]/field combination
-//! instead of a wire break: decoders here are additive under version
-//! negotiation, and a v1 peer never sees any of these tags.
+//! "What did this job run" is a job-filtered record plan and "which
+//! known binary is this closest to" a neighbor plan; a new question is
+//! a new [`PlanSource`]/field combination, not a new request tag.
 
 use crate::message::{get_u32, get_u64, take, QueryError, Selection};
 use crate::message::{NeighborRow, RecordRow};
@@ -101,7 +99,7 @@ impl Projection {
 /// descending) and reject any other request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Order {
-    /// Commit order (the v1 `ByJob` order) — streamed lazily.
+    /// Commit order — streamed lazily.
     #[default]
     Commit,
     /// Collection timestamp ascending (ties: commit order).
@@ -264,7 +262,7 @@ impl QueryPlan {
                 out.extend_from_slice(&min_score.to_le_bytes());
             }
         }
-        self.selection.put(out, 2);
+        self.selection.put(out);
         out.push(match self.projection {
             Projection::Full => 0,
             Projection::Keys => 1,
@@ -295,7 +293,7 @@ impl QueryPlan {
             },
             _ => return None,
         };
-        let selection = Selection::get(data, pos, 2)?;
+        let selection = Selection::get(data, pos)?;
         let projection = match take(data, pos, 1)?[0] {
             0 => Projection::Full,
             1 => Projection::Keys,

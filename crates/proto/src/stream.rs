@@ -1,8 +1,7 @@
-//! Protocol v3: the stream envelope.
+//! The stream envelope.
 //!
-//! On a connection that negotiated version 3, every post-handshake
-//! frame payload is an **envelope** wrapping the v2-layout request or
-//! response encoding:
+//! After the hello exchange, every frame payload is an **envelope**
+//! wrapping one request or response body:
 //!
 //! ```text
 //! [stream id: u32 LE][flags: u8][body …]
@@ -10,7 +9,7 @@
 //!
 //! * **stream id** — chosen by the client per logical exchange; the
 //!   server echoes it on every frame of the matching reply, so several
-//!   cursor streams (and interleaved one-shot requests) multiplex over
+//!   cursor streams (and interleaved single-frame requests) multiplex over
 //!   one connection. Id `0` is reserved for connection-level server
 //!   errors that could not be attributed to a request (unreadable
 //!   envelope, idle deadline).
@@ -24,10 +23,11 @@
 //!   fixed-layout hello. All other bits are reserved and draw
 //!   [`QueryError::Malformed`].
 //!
-//! The body bytes are exactly the v2 encoding (`encode_traced(2, …)` /
-//! `encode_versioned(2)`), so the v1/v2 codec — and every byte-layout
-//! pin on it — is reused untouched; v3 is strictly an envelope around
-//! it.
+//! The body bytes are exactly [`QueryRequest::encode_traced`] /
+//! [`QueryResponse::encode`]: the envelope never looks inside them.
+//!
+//! [`QueryRequest::encode_traced`]: crate::QueryRequest::encode_traced
+//! [`QueryResponse::encode`]: crate::QueryResponse::encode
 
 use crate::message::QueryError;
 use crate::MAX_FRAME_PAYLOAD;
@@ -49,7 +49,7 @@ pub const STREAM_HEADER_LEN: usize = 5;
 /// default; smaller ones never shrink enough to beat the added copy.
 pub const DEFAULT_COMPRESS_MIN_BYTES: usize = 4096;
 
-/// A decoded v3 envelope.
+/// A decoded stream envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamFrame {
     /// The exchange this frame belongs to.
@@ -58,11 +58,11 @@ pub struct StreamFrame {
     pub accept_compressed: bool,
     /// The body arrived compressed (already inflated in `body`).
     pub was_compressed: bool,
-    /// The inner v2-layout request/response encoding.
+    /// The inner request/response body.
     pub body: Vec<u8>,
 }
 
-/// Wrap `body` in a v3 envelope. When `compress_min` is `Some(n)` and
+/// Wrap `body` in a stream envelope. When `compress_min` is `Some(n)` and
 /// the body is at least `n` bytes, the body is compressed — but only
 /// kept if compression actually shrank it (incompressible bodies ship
 /// raw, flag clear, so the reader never pays inflation for nothing).
@@ -93,7 +93,7 @@ pub fn encode_stream_frame(
     out
 }
 
-/// Decode a v3 envelope, inflating a compressed body. Every malformed
+/// Decode a stream envelope, inflating a compressed body. Every malformed
 /// shape — short header, reserved flag bits, a declared raw length
 /// over [`MAX_FRAME_PAYLOAD`], torn compressed bytes — draws a typed
 /// error before any oversized allocation can happen.

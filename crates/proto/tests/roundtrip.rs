@@ -1,10 +1,10 @@
 //! Protocol round-trip property tests: every request/response variant
-//! must survive encode → decode exactly under **both** negotiated
-//! versions, and mutated/truncated payloads must come back as typed
-//! errors — never a panic, never unbounded allocation. The v2 stream
-//! shapes (plan requests, batch frames, end-or-cursor frames) are
-//! fuzzed alongside the v1 set, including truncation at every byte of
-//! a multi-frame reply.
+//! must survive encode → decode exactly, and mutated/truncated payloads
+//! must come back as typed errors — never a panic, never unbounded
+//! allocation. The stream shapes (plan requests, batch frames,
+//! end-or-cursor frames) are fuzzed alongside the single-frame set,
+//! including truncation at every byte of a multi-frame reply, and the
+//! byte layouts of representative frames are pinned.
 //!
 //! The quick suite runs with the workspace tests; `--ignored` runs the
 //! larger fuzz smoke the CI protocol gate invokes explicitly.
@@ -16,18 +16,16 @@ use siren_analysis::{LibraryUsageRow, UsageRow};
 use siren_consolidate::{ProcessRecord, ScriptRecord};
 use siren_db::Record;
 use siren_proto::{
-    decode_hello, decode_hello_ack, decode_stream_frame, encode_hello, encode_hello_ack,
-    encode_stream_frame, fold_epoch_checksum, negotiate, read_frame, write_frame, EpochBatch,
-    FrameError, NeighborRow, Order, PlanSource, Projection, QueryError, QueryPlan, QueryRequest,
-    QueryResponse, QueryWarning, RecordRow, RowBatch, Selection, SpanId, SpanRecord, StatusInfo,
-    TraceFilter, TraceId, TraceTree, DEFAULT_COMPRESS_MIN_BYTES, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_MIN, STREAM_HEADER_LEN,
+    decode_stream_frame, encode_stream_frame, fold_epoch_checksum, read_frame, write_frame,
+    EpochBatch, FrameError, NeighborRow, Order, PlanSource, Projection, QueryError, QueryPlan,
+    QueryRequest, QueryResponse, QueryWarning, RecordRow, RowBatch, Selection, SpanId, SpanRecord,
+    StatusInfo, TraceFilter, TraceId, TraceTree, DEFAULT_COMPRESS_MIN_BYTES, STREAM_HEADER_LEN,
 };
 use siren_wire::{Layer, MessageType};
 
 // ---------------------------------------------------- generators --
 
-fn arb_selection(rng: &mut TestRng, version: u16) -> Selection {
+fn arb_selection(rng: &mut TestRng) -> Selection {
     let mut sel = Selection::all();
     if rng.below(2) == 1 {
         sel = sel.epoch(rng.next_u64());
@@ -39,14 +37,12 @@ fn arb_selection(rng: &mut TestRng, version: u16) -> Selection {
         let lo = rng.next_u64() >> 1;
         sel = sel.between(lo, lo + rng.below(1 << 20));
     }
-    if version >= 2 {
-        if rng.below(2) == 1 {
-            sel = sel.job(rng.next_u64());
-        }
-        if rng.below(2) == 1 {
-            let lo = rng.below(1 << 20);
-            sel = sel.epochs(lo, lo + rng.below(64));
-        }
+    if rng.below(2) == 1 {
+        sel = sel.job(rng.next_u64());
+    }
+    if rng.below(2) == 1 {
+        let lo = rng.below(1 << 20);
+        sel = sel.epochs(lo, lo + rng.below(64));
     }
     sel
 }
@@ -60,7 +56,7 @@ fn arb_plan(rng: &mut TestRng) -> QueryPlan {
             rng.below(101) as u32,
         ),
     };
-    plan = plan.filter(arb_selection(rng, 2));
+    plan = plan.filter(arb_selection(rng));
     if rng.below(2) == 1 {
         plan = plan.project(Projection::Keys);
     }
@@ -164,34 +160,21 @@ fn arb_record(rng: &mut TestRng) -> ProcessRecord {
     rec
 }
 
-fn arb_request(rng: &mut TestRng, version: u16) -> QueryRequest {
-    let kinds = match version {
-        v if v >= 3 => 10,
-        2 => 9,
-        _ => 4,
-    };
-    match rng.below(kinds) {
+fn arb_request(rng: &mut TestRng) -> QueryRequest {
+    match rng.below(8) {
         0 => QueryRequest::Status,
-        1 => QueryRequest::ByJob {
-            job_id: rng.next_u64(),
+        1 => QueryRequest::LibraryUsage {
+            selection: arb_selection(rng),
         },
-        2 => QueryRequest::LibraryUsage {
-            selection: arb_selection(rng, version),
-        },
-        3 => QueryRequest::Neighbors {
-            hash: format!("6:{}:{}", arb_string(rng, 16), arb_string(rng, 16)),
-            k: rng.next_u64() as u32,
-            min_score: rng.below(101) as u32,
-        },
-        4 => QueryRequest::Plan(arb_plan(rng)),
-        5 => QueryRequest::FetchCursor {
+        2 => QueryRequest::Plan(arb_plan(rng)),
+        3 => QueryRequest::FetchCursor {
             cursor: rng.next_u64(),
         },
-        6 => QueryRequest::CloseCursor {
+        4 => QueryRequest::CloseCursor {
             cursor: rng.next_u64(),
         },
-        7 => QueryRequest::Metrics,
-        8 => QueryRequest::Traces(arb_trace_filter(rng)),
+        5 => QueryRequest::Metrics,
+        6 => QueryRequest::Traces(arb_trace_filter(rng)),
         _ => QueryRequest::SubscribeEpochs {
             from_epoch: rng.next_u64(),
             batch_rows: rng.next_u64() as u32,
@@ -270,9 +253,8 @@ fn arb_metrics(rng: &mut TestRng) -> siren_obs::MetricsSnapshot {
     registry.snapshot()
 }
 
-fn arb_error(rng: &mut TestRng, version: u16) -> QueryError {
-    let kinds = if version >= 2 { 8 } else { 6 };
-    match rng.below(kinds) {
+fn arb_error(rng: &mut TestRng) -> QueryError {
+    match rng.below(8) {
         0 => QueryError::Malformed(arb_string(rng, 24)),
         1 => QueryError::UnsupportedVersion {
             server_min: rng.next_u64() as u16,
@@ -287,33 +269,24 @@ fn arb_error(rng: &mut TestRng, version: u16) -> QueryError {
     }
 }
 
-fn arb_status(rng: &mut TestRng, version: u16) -> StatusInfo {
-    let mut status = StatusInfo {
+fn arb_status(rng: &mut TestRng) -> StatusInfo {
+    StatusInfo {
         protocol_version: rng.next_u64() as u16,
         committed_epochs: (0..rng.below(6)).collect(),
         records: rng.next_u64(),
         open_epoch: (rng.below(2) == 1).then(|| rng.next_u64()),
         epoch_tag_mismatches: rng.next_u64(),
         quiet_period_fallbacks: rng.next_u64(),
-        ..StatusInfo::default()
-    };
-    // The v2 counters never travel on a v1 connection, so a v1
-    // round-trip can only be exact when they are at their defaults.
-    if version >= 2 {
-        status.queries_refused = rng.next_u64();
-        status.open_cursors = rng.next_u64();
-        status.version_connections = (1..=rng.below(3) as u16)
+        queries_refused: rng.next_u64(),
+        open_cursors: rng.next_u64(),
+        version_connections: (1..=rng.below(3) as u16)
             .map(|v| (v, rng.next_u64()))
-            .collect();
+            .collect(),
+        repl_high_water: rng.next_u64(),
+        repl_lag_epochs: rng.next_u64(),
+        repl_lag_bytes: rng.next_u64(),
+        repl_reconnects: rng.next_u64(),
     }
-    // The v3 replication fields travel only on v3 connections.
-    if version >= 3 {
-        status.repl_high_water = rng.next_u64();
-        status.repl_lag_epochs = rng.next_u64();
-        status.repl_lag_bytes = rng.next_u64();
-        status.repl_reconnects = rng.next_u64();
-    }
-    status
 }
 
 fn arb_epoch_batch(rng: &mut TestRng) -> EpochBatch {
@@ -323,23 +296,10 @@ fn arb_epoch_batch(rng: &mut TestRng) -> EpochBatch {
     }
 }
 
-fn arb_response(rng: &mut TestRng, version: u16) -> QueryResponse {
-    let kinds = match version {
-        v if v >= 3 => 13,
-        2 => 10,
-        _ => 5,
-    };
-    match rng.below(kinds) {
-        0 => QueryResponse::Status(arb_status(rng, version)),
-        1 => QueryResponse::Rows(
-            (0..rng.below(4))
-                .map(|_| RecordRow {
-                    epoch: rng.next_u64(),
-                    record: arb_record(rng),
-                })
-                .collect(),
-        ),
-        2 => QueryResponse::LibraryUsage(
+fn arb_response(rng: &mut TestRng) -> QueryResponse {
+    match rng.below(11) {
+        0 => QueryResponse::Status(arb_status(rng)),
+        1 => QueryResponse::LibraryUsage(
             (0..rng.below(5))
                 .map(|_| LibraryUsageRow {
                     library: format!("/lib64/{}.so", arb_string(rng, 10)),
@@ -348,28 +308,19 @@ fn arb_response(rng: &mut TestRng, version: u16) -> QueryResponse {
                 })
                 .collect(),
         ),
-        3 => QueryResponse::Neighbors(
-            (0..rng.below(4))
-                .map(|_| NeighborRow {
-                    score: rng.below(101) as u32,
-                    epoch: rng.next_u64(),
-                    record: arb_record(rng),
-                })
-                .collect(),
-        ),
-        4 => QueryResponse::Error(arb_error(rng, version)),
-        5 => QueryResponse::Batch(arb_batch(rng)),
-        6 => QueryResponse::StreamEnd {
+        2 => QueryResponse::Error(arb_error(rng)),
+        3 => QueryResponse::Batch(arb_batch(rng)),
+        4 => QueryResponse::StreamEnd {
             cursor: (rng.below(2) == 1).then(|| rng.next_u64()),
         },
-        7 => QueryResponse::Metrics(arb_metrics(rng)),
-        8 => QueryResponse::Traces(arb_traces(rng)),
-        9 => QueryResponse::Warning(QueryWarning {
+        5 => QueryResponse::Metrics(arb_metrics(rng)),
+        6 => QueryResponse::Traces(arb_traces(rng)),
+        7 => QueryResponse::Warning(QueryWarning {
             missing: (0..rng.below(4)).map(|_| arb_string(rng, 12)).collect(),
             detail: arb_string(rng, 24),
         }),
-        10 => QueryResponse::EpochBatch(arb_epoch_batch(rng)),
-        11 => QueryResponse::EpochCommit {
+        8 => QueryResponse::EpochBatch(arb_epoch_batch(rng)),
+        9 => QueryResponse::EpochCommit {
             epoch: rng.next_u64(),
             records: rng.next_u64(),
             checksum: rng.next_u64(),
@@ -383,65 +334,42 @@ fn arb_response(rng: &mut TestRng, version: u16) -> QueryResponse {
 
 // ------------------------------------------------------- helpers --
 
-fn assert_request_round_trip(req: &QueryRequest, version: u16) {
-    let encoded = req.encode_versioned(version);
-    assert_eq!(
-        QueryRequest::decode_versioned(&encoded, version).as_ref(),
-        Ok(req)
-    );
-    // Truncations must fail typed, and trailing junk must be rejected.
-    for cut in 0..encoded.len() {
-        assert!(
-            QueryRequest::decode_versioned(&encoded[..cut], version).is_err(),
-            "cut {cut}"
-        );
-    }
-    let mut extra = encoded.clone();
-    extra.push(0);
-    assert!(QueryRequest::decode_versioned(&extra, version).is_err());
-}
-
-/// v2+ request frames carry a trailing trace-context id (0 = absent):
-/// the pair must round-trip exactly, truncation at every byte must be a
-/// typed error, and trailing junk must be rejected.
-fn assert_traced_round_trip(req: &QueryRequest, trace: Option<TraceId>, version: u16) {
-    let encoded = req.encode_traced(version, trace);
-    match QueryRequest::decode_traced(&encoded, version) {
+/// Every request body ends in a trace-context id (0 = absent): the pair
+/// must round-trip exactly, truncation at every byte must be a typed
+/// error, and trailing junk must be rejected.
+fn assert_request_round_trip(req: &QueryRequest, trace: Option<TraceId>) {
+    let encoded = req.encode_traced(trace);
+    match QueryRequest::decode_traced(&encoded) {
         Ok((decoded, decoded_trace)) => {
             assert_eq!(&decoded, req);
             assert_eq!(decoded_trace, trace);
         }
-        Err(err) => panic!("traced frame failed to decode: {err}"),
+        Err(err) => panic!("request failed to decode: {err}"),
     }
     for cut in 0..encoded.len() {
         assert!(
-            QueryRequest::decode_traced(&encoded[..cut], version).is_err(),
+            QueryRequest::decode_traced(&encoded[..cut]).is_err(),
             "cut {cut}"
         );
     }
     let mut extra = encoded.clone();
     extra.push(0);
-    assert!(QueryRequest::decode_traced(&extra, version).is_err());
+    assert!(QueryRequest::decode_traced(&extra).is_err());
 }
 
-fn assert_response_round_trip(resp: &QueryResponse, version: u16) {
-    let encoded = resp.encode_versioned(version);
-    assert_eq!(
-        QueryResponse::decode_versioned(&encoded, version).as_ref(),
-        Ok(resp)
-    );
+fn assert_response_round_trip(resp: &QueryResponse) {
+    let encoded = resp.encode();
+    assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(resp));
     for cut in 0..encoded.len() {
-        // Must not panic at any negotiated version.
-        for probe in [1u16, 2, 3] {
-            let _ = QueryResponse::decode_versioned(&encoded[..cut], probe);
-        }
+        // Must not panic.
+        let _ = QueryResponse::decode(&encoded[..cut]);
     }
     let mut extra = encoded.clone();
     extra.push(0);
     // Trailing junk: either rejected, or (for the empty-tail case of a
     // string-final variant) decodes to something ≠ the original is not
     // acceptable — so require rejection unless equality held.
-    if let Ok(decoded) = QueryResponse::decode_versioned(&extra, version) {
+    if let Ok(decoded) = QueryResponse::decode(&extra) {
         assert_eq!(&decoded, resp, "trailing junk changed the decode");
     }
 }
@@ -449,22 +377,17 @@ fn assert_response_round_trip(resp: &QueryResponse, version: u16) {
 fn run_cases(cases: u32, name: &str) {
     let mut rng = rng_for(name);
     for case in 0..cases {
-        // Rotate negotiated versions so all three codecs stay fuzzed.
-        let version = 1 + (case % 3) as u16;
-        let request = arb_request(&mut rng, version);
-        assert_request_round_trip(&request, version);
-        if version >= 2 {
-            // The same request with and without a propagated trace id.
-            let trace = (rng.below(2) == 1).then(|| arb_trace_id(&mut rng));
-            assert_traced_round_trip(&request, trace, version);
-        }
-        assert_response_round_trip(&arb_response(&mut rng, version), version);
+        // The request with and without a propagated trace id.
+        let request = arb_request(&mut rng);
+        let trace = (rng.below(2) == 1).then(|| arb_trace_id(&mut rng));
+        assert_request_round_trip(&request, trace);
+        assert_response_round_trip(&arb_response(&mut rng));
         // Framed transport round-trip (in-memory "socket").
-        let resp = arb_response(&mut rng, version);
+        let resp = arb_response(&mut rng);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &resp.encode_versioned(version)).unwrap();
+        write_frame(&mut wire, &resp.encode()).unwrap();
         let payload = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(QueryResponse::decode_versioned(&payload, version), Ok(resp));
+        assert_eq!(QueryResponse::decode(&payload), Ok(resp));
         // Random single-byte corruption never panics and never yields a
         // frame that silently decodes to a *different* valid payload of
         // the same length (checksum catches it).
@@ -479,13 +402,13 @@ fn run_cases(cases: u32, name: &str) {
                 assert_eq!(payload2, payload);
             }
         }
-        // The v3 stream envelope wraps the v2 encoding verbatim: any
-        // stream id and flag combination must round-trip the body
-        // exactly, compressed or raw, and the raw envelope tail must
-        // BE the v2 bytes (v3 is strictly additive).
+        // The stream envelope wraps the body verbatim: any stream id
+        // and flag combination must round-trip the body exactly,
+        // compressed or raw, and the raw envelope tail must BE the
+        // body bytes.
         {
-            let resp = arb_response(&mut rng, 2);
-            let body = resp.encode_versioned(2);
+            let resp = arb_response(&mut rng);
+            let body = resp.encode();
             let id = rng.next_u64() as u32;
             let accept = rng.below(2) == 1;
             let compress = match rng.below(3) {
@@ -501,10 +424,7 @@ fn run_cases(cases: u32, name: &str) {
             assert_eq!(frame.stream_id, id);
             assert_eq!(frame.accept_compressed, accept);
             assert_eq!(frame.body, body);
-            assert_eq!(
-                QueryResponse::decode_versioned(&frame.body, 2).as_ref(),
-                Ok(&resp)
-            );
+            assert_eq!(QueryResponse::decode(&frame.body).as_ref(), Ok(&resp));
             // Truncation at every byte: under the header it is a typed
             // envelope error; past it, either a typed error (torn
             // compressed body) or a short raw body handed to the inner
@@ -516,12 +436,12 @@ fn run_cases(cases: u32, name: &str) {
                     Err(other) => panic!("cut {cut}: unexpected error {other}"),
                     Ok(short) => {
                         assert!(cut >= STREAM_HEADER_LEN, "header cut {cut} must not decode");
-                        let _ = QueryResponse::decode_versioned(&short.body, 2);
+                        let _ = QueryResponse::decode(&short.body);
                     }
                 }
             }
         }
-        // A v2 reply stream (batch, batch, end-with-cursor) truncated
+        // A reply stream (batch, batch, end-with-cursor) truncated
         // at any byte must surface a typed frame error at the cut,
         // never a panic, and the frames before the cut must decode
         // exactly.
@@ -535,7 +455,7 @@ fn run_cases(cases: u32, name: &str) {
             ];
             let mut wire = Vec::new();
             for frame in &frames {
-                write_frame(&mut wire, &frame.encode_versioned(2)).unwrap();
+                write_frame(&mut wire, &frame.encode()).unwrap();
             }
             let cut = rng.below(wire.len() as u64 + 1) as usize;
             let mut r = &wire[..cut];
@@ -544,7 +464,7 @@ fn run_cases(cases: u32, name: &str) {
                 match read_frame(&mut r) {
                     Ok(payload) => {
                         assert_eq!(
-                            QueryResponse::decode_versioned(&payload, 2).as_ref(),
+                            QueryResponse::decode(&payload).as_ref(),
                             Ok(&frames[decoded]),
                             "frame {decoded} before the cut must decode exactly"
                         );
@@ -572,37 +492,6 @@ fn request_and_response_round_trip_quick() {
 #[ignore = "larger fuzz smoke, run explicitly by the CI protocol gate"]
 fn request_and_response_round_trip_fuzz_smoke() {
     run_cases(2000, "request_and_response_round_trip_fuzz_smoke");
-}
-
-#[test]
-fn hello_negotiation_round_trips_and_rejects() {
-    let hello = encode_hello(PROTOCOL_VERSION_MIN, PROTOCOL_VERSION);
-    assert_eq!(
-        decode_hello(&hello),
-        Some((PROTOCOL_VERSION_MIN, PROTOCOL_VERSION))
-    );
-    let ack = encode_hello_ack(PROTOCOL_VERSION);
-    assert_eq!(decode_hello_ack(&ack), Some(PROTOCOL_VERSION));
-
-    // Corrupt magic / lengths are rejected.
-    assert_eq!(decode_hello(b"XXXX\x01\x00\x01\x00"), None);
-    assert_eq!(decode_hello(&hello[..7]), None);
-    assert_eq!(decode_hello_ack(&ack[..5]), None);
-
-    // Overlapping ranges negotiate to the shared maximum…
-    assert_eq!(negotiate(1, u16::MAX), Ok(PROTOCOL_VERSION));
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION),
-        Ok(PROTOCOL_VERSION)
-    );
-    // …a future-only client is refused with the server's range.
-    assert_eq!(
-        negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5),
-        Err(QueryError::UnsupportedVersion {
-            server_min: PROTOCOL_VERSION_MIN,
-            server_max: PROTOCOL_VERSION,
-        })
-    );
 }
 
 proptest! {
@@ -670,70 +559,8 @@ fn between_bounds_are_inclusive_and_inverted_ranges_are_typed_errors() {
     assert!(!sel.matches(1, &rec) && !sel.matches(5, &rec));
 }
 
-#[test]
-fn v1_encoding_is_byte_stable_and_v2_tags_are_unknown_to_v1() {
-    // The v1 encoding of a v1-expressible request must not change: a
-    // pinned byte layout is what "a v1 client still works unchanged"
-    // means on the wire.
-    let req = QueryRequest::LibraryUsage {
-        selection: Selection::all().epoch(7).host("nid000001").between(10, 20),
-    };
-    let v1 = req.encode_versioned(1);
-    let expected: Vec<u8> = {
-        let mut out = vec![2u8]; // REQ_LIBRARY_USAGE
-        out.push(1);
-        out.extend_from_slice(&7u64.to_le_bytes());
-        out.push(1);
-        out.extend_from_slice(&9u32.to_le_bytes());
-        out.extend_from_slice(b"nid000001");
-        out.push(1);
-        out.extend_from_slice(&10u64.to_le_bytes());
-        out.extend_from_slice(&20u64.to_le_bytes());
-        out
-    };
-    assert_eq!(v1, expected, "v1 LibraryUsage byte layout drifted");
-    assert_eq!(QueryRequest::decode_versioned(&v1, 1), Ok(req));
-
-    // v2-only request tags on a v1 connection: UnknownRequest, exactly
-    // as a v1-only server build would answer (connection survives).
-    let plan = QueryRequest::Plan(QueryPlan::records()).encode_versioned(2);
-    assert!(matches!(
-        QueryRequest::decode_versioned(&plan, 1),
-        Err(QueryError::UnknownRequest(4))
-    ));
-
-    // And a v2-only *selection* cannot be smuggled into a v1 frame:
-    // the v1 decoder rejects the extra bytes.
-    let v2_sel = QueryRequest::LibraryUsage {
-        selection: Selection::all().job(42),
-    }
-    .encode_versioned(2);
-    assert!(QueryRequest::decode_versioned(&v2_sel, 1).is_err());
-
-    // Status answers carry the v2 counters only on v2 connections.
-    let status = StatusInfo {
-        protocol_version: 2,
-        queries_refused: 3,
-        open_cursors: 1,
-        version_connections: vec![(1, 4), (2, 9)],
-        ..StatusInfo::default()
-    };
-    let resp = QueryResponse::Status(status.clone());
-    let on_v2 = QueryResponse::decode_versioned(&resp.encode_versioned(2), 2).unwrap();
-    assert_eq!(on_v2, resp);
-    let on_v1 = QueryResponse::decode_versioned(&resp.encode_versioned(1), 1).unwrap();
-    match on_v1 {
-        QueryResponse::Status(s) => {
-            assert_eq!(s.queries_refused, 0);
-            assert_eq!(s.open_cursors, 0);
-            assert!(s.version_connections.is_empty());
-        }
-        other => panic!("expected Status, got {other:?}"),
-    }
-}
-
-/// Three reply streams' frames interleaved on one wire — as a v3
-/// server multiplexes them — must reassemble into each stream's exact
+/// Three reply streams' frames interleaved on one wire — as a server
+/// multiplexes them — must reassemble into each stream's exact
 /// original sequence when routed by stream id, with compression
 /// applied per-frame and transparently undone.
 #[test]
@@ -765,7 +592,7 @@ fn interleaved_stream_frames_reassemble_exactly() {
             if cursors[s] == sequences[s].len() {
                 continue;
             }
-            let body = sequences[s][cursors[s]].encode_versioned(2);
+            let body = sequences[s][cursors[s]].encode();
             let compress = (rng.below(2) == 1).then_some(0);
             let envelope = encode_stream_frame(ids[s], &body, false, compress);
             write_frame(&mut wire, &envelope).unwrap();
@@ -784,7 +611,7 @@ fn interleaved_stream_frames_reassemble_exactly() {
             };
             let frame = decode_stream_frame(&payload).unwrap();
             let s = ids.iter().position(|&id| id == frame.stream_id).unwrap();
-            reassembled[s].push(QueryResponse::decode_versioned(&frame.body, 2).unwrap());
+            reassembled[s].push(QueryResponse::decode(&frame.body).unwrap());
         }
         assert_eq!(
             reassembled, sequences,
@@ -793,90 +620,150 @@ fn interleaved_stream_frames_reassemble_exactly() {
     }
 }
 
-/// The v3 bump must leave the v1 and v2 codecs byte-identical: the
-/// envelope wraps the v2 encoding, it never alters it. Pin one frame
-/// of each and the wrap relation itself.
+/// The wire layouts are pinned byte for byte: a request that cursor
+/// pagination resumes with, a reply terminator, the envelope around it,
+/// a plan carrying every optional field, and a status answer carrying
+/// every counter. Reserved request tags decode as unknown requests.
 #[test]
-fn v1_and_v2_layouts_are_pinned_unchanged_under_v3() {
-    // v1 pin (same layout the dedicated v1 stability test checks).
-    let v1_req = QueryRequest::ByJob {
-        job_id: 0x0102_0304,
-    };
-    assert_eq!(
-        v1_req.encode_versioned(1),
-        [&[1u8][..], &0x0102_0304u64.to_le_bytes()[..]].concat(),
-        "v1 ByJob byte layout drifted"
-    );
-
-    // v2 pin: a FetchCursor frame is tag + u64 cursor + the trailing
-    // trace-context id (zero = absent), nothing more.
-    let v2_req = QueryRequest::FetchCursor {
+fn v3_layouts_are_pinned() {
+    // FetchCursor: tag + u64 cursor + the trailing trace-context id
+    // (zero = absent), nothing more.
+    let fetch = QueryRequest::FetchCursor {
         cursor: 0xDEAD_BEEF,
     };
-    let v2_bytes = v2_req.encode_versioned(2);
     assert_eq!(
-        v2_bytes,
+        fetch.encode(),
         [
             &[5u8][..],
             &0xDEAD_BEEFu64.to_le_bytes()[..],
             &0u64.to_le_bytes()[..],
         ]
         .concat(),
-        "v2 FetchCursor byte layout drifted"
+        "FetchCursor byte layout drifted"
     );
 
-    // And a StreamEnd reply on v2: tag + presence byte + cursor id.
-    let v2_resp = QueryResponse::StreamEnd { cursor: Some(9) };
-    let v2_resp_bytes = v2_resp.encode_versioned(2);
+    // StreamEnd: tag + presence byte + cursor id.
+    let end_bytes = QueryResponse::StreamEnd { cursor: Some(9) }.encode();
     assert_eq!(
-        v2_resp_bytes,
+        end_bytes,
         [&[5u8, 1u8][..], &9u64.to_le_bytes()[..]].concat(),
-        "v2 StreamEnd byte layout drifted"
+        "StreamEnd byte layout drifted"
     );
 
-    // The uncompressed v3 envelope is exactly header ++ the v2 bytes:
-    // stream id LE, flag byte, then the pinned encoding untouched.
-    let envelope = encode_stream_frame(0x0A0B_0C0D, &v2_resp_bytes, false, None);
+    // The uncompressed envelope is exactly header ++ the body: stream
+    // id LE, flag byte, then the pinned encoding untouched.
+    let envelope = encode_stream_frame(0x0A0B_0C0D, &end_bytes, false, None);
     let mut expected = 0x0A0B_0C0Du32.to_le_bytes().to_vec();
     expected.push(0);
-    expected.extend_from_slice(&v2_resp_bytes);
-    assert_eq!(envelope, expected, "v3 envelope is not strictly additive");
+    expected.extend_from_slice(&end_bytes);
+    assert_eq!(envelope, expected, "stream envelope layout drifted");
+
+    // Plan: tag, source, the five selection slots, projection, order,
+    // limit, batch/page geometry, trace id.
+    let plan = QueryPlan::records()
+        .filter(Selection::all().host("n1").job(7).epochs(1, 2))
+        .project(Projection::Keys)
+        .order_by(Order::TimeDesc)
+        .limit(5)
+        .batch_rows(3)
+        .page_rows(9);
+    assert_eq!(
+        QueryRequest::Plan(plan).encode_traced(Some(TraceId(0x77))),
+        [
+            &[4u8, 0][..],              // REQ_PLAN, SRC_RECORDS
+            &[0][..],                   // no epoch
+            &[1][..],                   // host …
+            &2u32.to_le_bytes()[..],    // … length-prefixed
+            b"n1",                      //
+            &[0][..],                   // no time range
+            &[1][..],                   // job …
+            &7u64.to_le_bytes()[..],    //
+            &[1][..],                   // epoch slice …
+            &1u64.to_le_bytes()[..],    //
+            &2u64.to_le_bytes()[..],    //
+            &[1, 2][..],                // Keys, TimeDesc
+            &[1][..],                   // limit …
+            &5u64.to_le_bytes()[..],    //
+            &3u32.to_le_bytes()[..],    // batch_rows
+            &9u32.to_le_bytes()[..],    // page_rows
+            &0x77u64.to_le_bytes()[..], // trace id
+        ]
+        .concat(),
+        "Plan byte layout drifted"
+    );
+
+    // Status: every field, in wire order.
+    let status = StatusInfo {
+        protocol_version: 3,
+        committed_epochs: vec![0, 2],
+        records: 5,
+        open_epoch: Some(3),
+        epoch_tag_mismatches: 1,
+        quiet_period_fallbacks: 2,
+        queries_refused: 4,
+        open_cursors: 6,
+        version_connections: vec![(3, 8)],
+        repl_high_water: 9,
+        repl_lag_epochs: 10,
+        repl_lag_bytes: 11,
+        repl_reconnects: 12,
+    };
+    let mut expected = vec![0u8]; // RESP_STATUS
+    expected.extend_from_slice(&3u16.to_le_bytes());
+    expected.extend_from_slice(&2u32.to_le_bytes());
+    for v in [0u64, 2, 5] {
+        expected.extend_from_slice(&v.to_le_bytes());
+    }
+    expected.push(1);
+    for v in [3u64, 1, 2, 4, 6] {
+        expected.extend_from_slice(&v.to_le_bytes());
+    }
+    expected.extend_from_slice(&1u32.to_le_bytes());
+    expected.extend_from_slice(&3u16.to_le_bytes());
+    for v in [8u64, 9, 10, 11, 12] {
+        expected.extend_from_slice(&v.to_le_bytes());
+    }
+    assert_eq!(
+        QueryResponse::Status(status).encode(),
+        expected,
+        "Status byte layout drifted"
+    );
+
+    // Tags 1 and 3 carried the retired one-shots: reserved, unknown.
+    for tag in [1u8, 3] {
+        let mut body = vec![tag];
+        body.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            QueryRequest::decode(&body),
+            Err(QueryError::UnknownRequest(tag))
+        );
+        assert!(matches!(
+            QueryResponse::decode(&body),
+            Err(QueryError::Malformed(_))
+        ));
+    }
 }
 
 #[test]
-fn metrics_frames_round_trip_on_v2_and_are_refused_on_v1() {
+fn metrics_frames_round_trip() {
     let mut rng = rng_for("metrics_frames_round_trip");
 
-    // The request is a bare tag; v2 round-trips it, v1 answers exactly
-    // as a pre-metrics server build would: UnknownRequest(7), with the
-    // connection left usable.
-    let req = QueryRequest::Metrics.encode_versioned(2);
-    assert_eq!(
-        QueryRequest::decode_versioned(&req, 2),
-        Ok(QueryRequest::Metrics)
-    );
-    assert_eq!(
-        QueryRequest::decode_versioned(&req, 1),
-        Err(QueryError::UnknownRequest(7))
-    );
+    // The request is a bare tag (plus the trace id).
+    let req = QueryRequest::Metrics.encode();
+    assert_eq!(QueryRequest::decode(&req), Ok(QueryRequest::Metrics));
 
     for _ in 0..32 {
         let snapshot = arb_metrics(&mut rng);
         let resp = QueryResponse::Metrics(snapshot);
-        let encoded = resp.encode_versioned(2);
+        let encoded = resp.encode();
         // Exact round-trip: every counter, gauge high-water, sparse
         // histogram bucket, and slow-query entry survives the wire.
-        assert_eq!(
-            QueryResponse::decode_versioned(&encoded, 2).as_ref(),
-            Ok(&resp)
-        );
-        // The reply frame never decodes on a v1 connection.
-        assert!(QueryResponse::decode_versioned(&encoded, 1).is_err());
+        assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(&resp));
         // Truncation anywhere inside the four counted sections is a
         // typed error, never a panic or a partial snapshot.
         for cut in 0..encoded.len() {
             assert!(
-                QueryResponse::decode_versioned(&encoded[..cut], 2).is_err(),
+                QueryResponse::decode(&encoded[..cut]).is_err(),
                 "cut {cut} must not decode"
             );
         }
@@ -886,47 +773,34 @@ fn metrics_frames_round_trip_on_v2_and_are_refused_on_v1() {
         // timestamp.
         let mut inflated = encoded.clone();
         inflated[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(QueryResponse::decode_versioned(&inflated, 2).is_err());
+        assert!(QueryResponse::decode(&inflated).is_err());
     }
 }
 
 #[test]
-fn traces_frames_round_trip_on_v2_and_are_refused_on_v1() {
+fn traces_frames_round_trip() {
     let mut rng = rng_for("traces_frames_round_trip");
 
-    // The request tag is v2-only; a v1 connection answers exactly as a
-    // pre-tracing server build would: UnknownRequest(8), with the
-    // connection left usable.
     let req = QueryRequest::Traces(TraceFilter::recent());
-    let encoded = req.encode_versioned(2);
-    assert_eq!(QueryRequest::decode_versioned(&encoded, 2), Ok(req));
-    assert_eq!(
-        QueryRequest::decode_versioned(&encoded, 1),
-        Err(QueryError::UnknownRequest(8))
-    );
+    let encoded = req.encode();
+    assert_eq!(QueryRequest::decode(&encoded), Ok(req));
 
     // A present-but-zero trace id in the filter is inconsistent (zero
     // encodes "absent") and must be refused.
-    let mut zeroed =
-        QueryRequest::Traces(TraceFilter::recent().trace(TraceId(7))).encode_versioned(2);
+    let mut zeroed = QueryRequest::Traces(TraceFilter::recent().trace(TraceId(7))).encode();
     zeroed[2..10].copy_from_slice(&0u64.to_le_bytes());
-    assert!(QueryRequest::decode_versioned(&zeroed, 2).is_err());
+    assert!(QueryRequest::decode(&zeroed).is_err());
 
     for _ in 0..32 {
         let resp = QueryResponse::Traces(arb_traces(&mut rng));
-        let encoded = resp.encode_versioned(2);
+        let encoded = resp.encode();
         // Exact round-trip: every span, parent link, and annotation.
-        assert_eq!(
-            QueryResponse::decode_versioned(&encoded, 2).as_ref(),
-            Ok(&resp)
-        );
-        // The reply frame never decodes on a v1 connection.
-        assert!(QueryResponse::decode_versioned(&encoded, 1).is_err());
+        assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(&resp));
         // Truncation at every byte is a typed error, never a panic or a
         // partial forest.
         for cut in 0..encoded.len() {
             assert!(
-                QueryResponse::decode_versioned(&encoded[..cut], 2).is_err(),
+                QueryResponse::decode(&encoded[..cut]).is_err(),
                 "cut {cut} must not decode"
             );
         }
@@ -934,31 +808,22 @@ fn traces_frames_round_trip_on_v2_and_are_refused_on_v1() {
         // minimum-bytes-per-element bound before any allocation.
         let mut inflated = encoded.clone();
         inflated[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(QueryResponse::decode_versioned(&inflated, 2).is_err());
+        assert!(QueryResponse::decode(&inflated).is_err());
     }
 }
 
 #[test]
-fn replication_frames_round_trip_on_v3_and_are_refused_on_older() {
+fn replication_frames_round_trip() {
     let mut rng = rng_for("replication_frames_round_trip");
 
-    // The subscription request is v3-only; v1 and v2 connections see
-    // the tag exactly as a pre-replication server build would:
-    // UnknownRequest(9), with the connection left usable.
     let req = QueryRequest::SubscribeEpochs {
         from_epoch: 7,
         batch_rows: 128,
     };
-    let encoded = req.encode_versioned(3);
-    assert_eq!(QueryRequest::decode_versioned(&encoded, 3), Ok(req));
-    for older in [1u16, 2] {
-        assert_eq!(
-            QueryRequest::decode_versioned(&encoded, older),
-            Err(QueryError::UnknownRequest(9))
-        );
-    }
+    let encoded = req.encode();
+    assert_eq!(QueryRequest::decode(&encoded), Ok(req));
     // Pin the byte layout: tag, from_epoch u64, batch_rows u32, and
-    // the trailing trace-context id every v2+ request frame carries.
+    // the trailing trace-context id every request body carries.
     assert_eq!(
         encoded,
         [
@@ -968,28 +833,19 @@ fn replication_frames_round_trip_on_v3_and_are_refused_on_older() {
             &0u64.to_le_bytes()[..],
         ]
         .concat(),
-        "v3 SubscribeEpochs byte layout drifted"
+        "SubscribeEpochs byte layout drifted"
     );
 
     for _ in 0..32 {
-        // EpochBatch: exact round-trip on v3, refused on v1/v2, typed
-        // errors on truncation at every byte.
+        // EpochBatch: exact round-trip, typed errors on truncation at
+        // every byte.
         let batch = arb_epoch_batch(&mut rng);
         let resp = QueryResponse::EpochBatch(batch.clone());
-        let encoded = resp.encode_versioned(3);
-        assert_eq!(
-            QueryResponse::decode_versioned(&encoded, 3).as_ref(),
-            Ok(&resp)
-        );
-        for older in [1u16, 2] {
-            assert!(matches!(
-                QueryResponse::decode_versioned(&encoded, older),
-                Err(QueryError::Malformed(_))
-            ));
-        }
+        let encoded = resp.encode();
+        assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(&resp));
         for cut in 0..encoded.len() {
             assert!(
-                QueryResponse::decode_versioned(&encoded[..cut], 3).is_err(),
+                QueryResponse::decode(&encoded[..cut]).is_err(),
                 "cut {cut} must not decode"
             );
         }
@@ -1003,7 +859,7 @@ fn replication_frames_round_trip_on_v3_and_are_refused_on_older() {
         let mut tampered = encoded.clone();
         tampered[at] ^= 1u8 << rng.below(8);
         assert!(
-            QueryResponse::decode_versioned(&tampered, 3).is_err(),
+            QueryResponse::decode(&tampered).is_err(),
             "bit flip at {at} must not decode"
         );
         // And a flip pinned to the trailing checksum itself draws the
@@ -1011,7 +867,7 @@ fn replication_frames_round_trip_on_v3_and_are_refused_on_older() {
         let mut sum_flip = encoded.clone();
         let last = sum_flip.len() - 1;
         sum_flip[last] ^= 0x80;
-        match QueryResponse::decode_versioned(&sum_flip, 3) {
+        match QueryResponse::decode(&sum_flip) {
             Err(QueryError::Malformed(msg)) => {
                 assert!(msg.contains("checksum mismatch"), "got: {msg}")
             }
@@ -1025,47 +881,15 @@ fn replication_frames_round_trip_on_v3_and_are_refused_on_older() {
             records: batch.records.len() as u64,
             checksum: fold_epoch_checksum(&[batch.checksum()]),
         };
-        let encoded = commit.encode_versioned(3);
-        assert_eq!(
-            QueryResponse::decode_versioned(&encoded, 3).as_ref(),
-            Ok(&commit)
-        );
-        assert!(QueryResponse::decode_versioned(&encoded, 2).is_err());
+        let encoded = commit.encode();
+        assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(&commit));
 
         let end = QueryResponse::SubscribeEnd {
             next_from: rng.next_u64(),
             leader_bytes: rng.next_u64(),
         };
-        let encoded = end.encode_versioned(3);
-        assert_eq!(
-            QueryResponse::decode_versioned(&encoded, 3).as_ref(),
-            Ok(&end)
-        );
-        assert!(QueryResponse::decode_versioned(&encoded, 1).is_err());
-    }
-
-    // Status answers carry the replication gauges only on v3
-    // connections; a v2 peer gets the v2 body it always got.
-    let status = StatusInfo {
-        protocol_version: 3,
-        repl_high_water: 12,
-        repl_lag_epochs: 2,
-        repl_lag_bytes: 4096,
-        repl_reconnects: 5,
-        ..StatusInfo::default()
-    };
-    let resp = QueryResponse::Status(status);
-    let on_v3 = QueryResponse::decode_versioned(&resp.encode_versioned(3), 3).unwrap();
-    assert_eq!(on_v3, resp);
-    let on_v2 = QueryResponse::decode_versioned(&resp.encode_versioned(2), 2).unwrap();
-    match on_v2 {
-        QueryResponse::Status(s) => {
-            assert_eq!(s.repl_high_water, 0);
-            assert_eq!(s.repl_lag_epochs, 0);
-            assert_eq!(s.repl_lag_bytes, 0);
-            assert_eq!(s.repl_reconnects, 0);
-        }
-        other => panic!("expected Status, got {other:?}"),
+        let encoded = end.encode();
+        assert_eq!(QueryResponse::decode(&encoded).as_ref(), Ok(&end));
     }
 }
 

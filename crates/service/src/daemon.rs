@@ -334,14 +334,16 @@ impl SharedState {
         }
     }
 
-    /// Live counters for a `Status` answer; the snapshot-derived fields
-    /// (committed epochs, record count) are filled in by
-    /// [`QuerySnapshot::respond`] from the answering snapshot so the
-    /// response is self-consistent.
+    /// A `Status` answer minus the query-traffic counters: store shape
+    /// (committed epochs, record count) from one loaded snapshot, so
+    /// the answer is self-consistent, plus the live ingest counters.
     pub(crate) fn status(&self, protocol_version: u16) -> StatusInfo {
         let open = self.open_epoch.load(Ordering::Relaxed);
+        let snapshot = self.load();
         StatusInfo {
             protocol_version,
+            committed_epochs: snapshot.epochs(),
+            records: snapshot.len() as u64,
             open_epoch: (open != NO_EPOCH).then_some(open),
             epoch_tag_mismatches: self.epoch_tag_mismatches.get(),
             quiet_period_fallbacks: self.quiet_period_fallbacks.get(),
@@ -838,20 +840,13 @@ impl SirenDaemon {
     /// answer's code path, so the two can never diverge. When the
     /// query server is up, the query-traffic counters (refused
     /// connections, open cursors, negotiated-version histogram) are
-    /// filled in exactly as a v2 wire answer would carry them.
+    /// filled in exactly as a wire answer would carry them.
     pub fn status(&self) -> StatusInfo {
         let mut status = self.shared.status(0);
         if let Some(server) = &self.server {
             server.fill_traffic_counters(&mut status);
         }
-        match self
-            .shared
-            .load()
-            .respond(status, &siren_proto::QueryRequest::Status)
-        {
-            siren_proto::QueryResponse::Status(status) => status,
-            _ => unreachable!("Status request always yields a Status response"),
-        }
+        status
     }
 
     /// The full pipeline telemetry snapshot — every `store.*`,

@@ -30,8 +30,8 @@
 //!   earlier layer by `Arc` — O(epoch), not O(history) — while a
 //!   background thread merges small layers to bound query fan-out.
 //! * With [`ServiceConfig::query_addr`] set, an embedded TCP
-//!   **query server** (bounded worker pool, per-connection deadlines)
-//!   answers the versioned `siren-proto` wire protocol; the blocking
+//!   **query server** (reactor event loops, per-connection deadlines)
+//!   answers the `siren-proto` wire protocol; the blocking
 //!   [`siren_proto::SirenClient`] is the typed client side.
 //!
 //! ```text

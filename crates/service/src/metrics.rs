@@ -60,10 +60,8 @@ pub(crate) struct ServiceMetrics {
     pub connections_refused: Arc<Counter>,
     /// `query.requests` — protocol requests answered (errors included).
     pub requests: Arc<Counter>,
-    /// `query.negotiated_v1` / `query.negotiated_v2` /
-    /// `query.negotiated_v3` — the negotiated-version histogram.
-    pub negotiated_v1: Arc<Counter>,
-    pub negotiated_v2: Arc<Counter>,
+    /// `query.negotiated_v3` — connections whose hello was
+    /// acknowledged (the one protocol version).
     pub negotiated_v3: Arc<Counter>,
     /// `query.queue_wait_ns` — accepted connection's wait for a worker.
     pub queue_wait_ns: Arc<Histogram>,
@@ -162,8 +160,6 @@ impl ServiceMetrics {
             connections_accepted: registry.counter("query.connections_accepted"),
             connections_refused: registry.counter("query.connections_refused"),
             requests: registry.counter("query.requests"),
-            negotiated_v1: registry.counter("query.negotiated_v1"),
-            negotiated_v2: registry.counter("query.negotiated_v2"),
             negotiated_v3: registry.counter("query.negotiated_v3"),
             queue_wait_ns: registry.histogram("query.queue_wait_ns"),
             exec_ns: registry.histogram("query.exec_ns"),

@@ -11,17 +11,20 @@
 //! `poller.wait` until a socket turns readable/writable, a timer
 //! expires, or a peer loop hands it a new connection.
 //!
+//! A connection opens with the hello exchange (accepted iff the offered
+//! range contains protocol version 3; refused with a plain typed error
+//! frame and a close otherwise). Every later frame is a stream envelope
+//! (see [`siren_proto::stream`]): requests are processed as they
+//! arrive, each reply is tagged with its request's stream id, and
+//! concurrent replies on one connection round-robin batch production.
+//! Large reply bodies are LZ-compressed for requests that advertised
+//! acceptance.
+//!
 //! Request execution is synchronous on the owning loop (plans are
-//! CPU-bound; the old thread-per-connection pool executed them on the
-//! worker thread too), but reply *transmission* is fully asynchronous:
-//! each streaming reply is a [`ReplyStream`] state machine that
-//! produces one serialized batch at a time into the connection's
-//! outbound buffer, only while that buffer sits under a watermark.
-//! v1/v2 connections keep their strict sequential request→reply
-//! discipline; a v3 connection multiplexes — every frame carries a
-//! stream id (see [`siren_proto::stream`]), concurrent replies
-//! round-robin batch production, and large reply bodies are
-//! LZ-compressed for clients that advertised acceptance.
+//! CPU-bound), but reply *transmission* is fully asynchronous: each
+//! streaming reply is a [`ReplyStream`] state machine that produces one
+//! serialized batch at a time into the connection's outbound buffer,
+//! only while that buffer sits under a watermark.
 //!
 //! Cursor pages are **prefetched**: when a streaming reply parks its
 //! cursor, the next page's batches are precomputed and parked with it
@@ -32,22 +35,23 @@
 //! Idle and write-stalled connections are bounded by a timer wheel:
 //! one lazily-rescheduled deadline per connection, checked against the
 //! socket's true last-progress instant when it fires, so per-frame
-//! timer churn is avoided. Hostile-input posture is unchanged from the
-//! blocking server: length prefixes are bounds-checked before any
-//! payload is buffered, framing corruption draws a best-effort typed
-//! error and a close, and an unknown request tag inside an intact
-//! frame draws [`QueryError::UnknownRequest`] with the connection kept.
+//! timer churn is avoided. Hostile input: length prefixes are
+//! bounds-checked before any payload is buffered, framing or envelope
+//! corruption draws a best-effort typed error and a close, and an
+//! unknown (or reserved) request tag inside an intact frame draws
+//! [`QueryError::UnknownRequest`] with the connection kept.
 
 use crate::daemon::{ServiceConfig, SharedState};
 use crate::metrics::ServiceMetrics;
 use crate::plan::{CursorTable, PlanCursor, BATCH_BYTE_BUDGET};
 use crate::replicate::{EpochFrame, EpochShipper};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use siren_analysis::library_usage;
 use siren_obs::{SlowQueryEntry, Span};
 use siren_proto::{
     decode_hello, decode_stream_frame, encode_hello_ack, encode_stream_frame, negotiate,
     QueryError, QueryRequest, QueryResponse, CONNECTION_STREAM, MAX_FRAME_PAYLOAD,
-    STREAM_FLAG_COMPRESSED, STREAM_HEADER_LEN,
+    PROTOCOL_VERSION, STREAM_FLAG_COMPRESSED, STREAM_HEADER_LEN,
 };
 use siren_reactor::{Event, FrameParseError, FramedConn, Interest, Poller, Slab, TimerWheel};
 use std::collections::VecDeque;
@@ -70,9 +74,12 @@ const OUT_WATERMARK: usize = 256 * 1024;
 /// peer refuses to take answers.
 const IN_GATE: usize = 1024 * 1024;
 /// Parsed-but-unprocessed request frames allowed per connection before
-/// reading is gated (v1/v2 sequential discipline can leave a pipeline
-/// of frames parked here).
+/// reading is gated (frames park here while the outbound buffer is
+/// past [`IN_GATE`]).
 const MAX_PENDING_REQUESTS: usize = 128;
+/// Largest reply body that still fits one wire frame once the stream
+/// envelope header is added.
+const BODY_CAP: usize = MAX_FRAME_PAYLOAD as usize - STREAM_HEADER_LEN;
 
 /// Fill a `Status` answer's query-traffic counters from the registry
 /// handles — the ONE place these fields are written, used by both the
@@ -85,15 +92,13 @@ pub(crate) fn fill_traffic_counters(
 ) {
     status.queries_refused = metrics.connections_refused.get();
     status.open_cursors = cursors.open_count();
-    status.version_connections = [
-        (1u16, metrics.negotiated_v1.get()),
-        (2u16, metrics.negotiated_v2.get()),
-        (3u16, metrics.negotiated_v3.get()),
-    ]
-    .into_iter()
-    .filter(|&(_, n)| n > 0)
-    .collect();
-    // Replication posture (v3 fields; zeros on a daemon that neither
+    let connections = metrics.negotiated_v3.get();
+    status.version_connections = if connections > 0 {
+        vec![(PROTOCOL_VERSION, connections)]
+    } else {
+        Vec::new()
+    };
+    // Replication posture (zeros on a daemon that neither
     // follows nor was ever followed). The gauges are written by the
     // replicator thread, so a follower's embedded server reports its
     // own lag without touching the replication loop.
@@ -253,14 +258,14 @@ struct Dispatch {
 enum Phase {
     /// Awaiting the hello frame.
     Handshake,
-    /// Negotiated; serving versioned requests.
-    Active { version: u16 },
+    /// Hello acknowledged; serving enveloped requests.
+    Active,
 }
 
 /// One streaming reply (a `Plan` or `FetchCursor` answer) being
 /// produced incrementally into the connection's outbound buffer.
 struct ReplyStream {
-    /// Wire stream id on v3; `CONNECTION_STREAM` (unused) on v1/v2.
+    /// Stream id of the request this reply answers.
     stream_id: u32,
     /// The request advertised acceptance of compressed reply bodies.
     accept_compressed: bool,
@@ -287,11 +292,9 @@ struct ReplyStream {
 struct Conn {
     io: FramedConn,
     phase: Phase,
-    /// Parsed request frames awaiting processing (v1/v2 hold requests
-    /// here until the active reply finishes; v3 drains immediately).
+    /// Parsed request frames awaiting processing.
     pending: VecDeque<Vec<u8>>,
-    /// Streaming replies in flight; v1/v2 at most one, v3 any number
-    /// (round-robin production).
+    /// Streaming replies in flight (round-robin production).
     replies: VecDeque<ReplyStream>,
     /// Queue wait measured accept→registration, adopted as a child
     /// span by the first traced request on the connection.
@@ -412,17 +415,12 @@ impl EventLoop {
                     // Idle between requests (or never finished the
                     // hello): a typed deadline error, then close after
                     // flush.
-                    let version = match conn.phase {
-                        Phase::Active { version } => version,
-                        Phase::Handshake => 1,
-                    };
-                    self.queue_error(
-                        conn,
-                        version,
-                        CONNECTION_STREAM,
-                        false,
-                        QueryError::Deadline,
-                    );
+                    match conn.phase {
+                        Phase::Active => {
+                            self.queue_error(conn, CONNECTION_STREAM, false, QueryError::Deadline)
+                        }
+                        Phase::Handshake => queue_plain_error(conn, QueryError::Deadline),
+                    }
                     conn.closing = true;
                     match self.finish_io(conn) {
                         Verdict::Drop => self.deregister(key, &mut conns, &mut timers),
@@ -555,10 +553,8 @@ impl EventLoop {
 
     /// Process pipelined requests, produce replies, flush, update
     /// interest, and decide whether the connection survives. Loops
-    /// until no further progress is possible without new readiness:
-    /// a finished reply can unblock the next pipelined request on a
-    /// sequential (v1/v2) connection, and a flush can unblock batch
-    /// production.
+    /// until no further progress is possible without new readiness: a
+    /// flush can unblock batch production and gated requests.
     fn finish_io(&self, conn: &mut Conn) -> Verdict {
         loop {
             if !conn.closing {
@@ -574,10 +570,7 @@ impl EventLoop {
             let can_process = !conn.closing
                 && !conn.pending.is_empty()
                 && conn.io.pending_output() <= IN_GATE
-                && match conn.phase {
-                    Phase::Active { version } => version >= 3 || conn.replies.is_empty(),
-                    Phase::Handshake => false,
-                };
+                && matches!(conn.phase, Phase::Active);
             if !can_produce && !can_process {
                 break;
             }
@@ -622,55 +615,40 @@ impl EventLoop {
     }
 
     /// Parse complete frames out of the inbound buffer: complete the
-    /// hello exchange, then park request frames in the pipeline
-    /// (processing happens under [`EventLoop::process_pending`]'s
-    /// version discipline).
+    /// hello exchange, then park request frames in the pipeline for
+    /// [`EventLoop::process_pending`].
     fn parse_frames(&self, conn: &mut Conn) -> Verdict {
         loop {
             match conn.phase {
                 Phase::Handshake => match conn.io.next_frame(MAX_FRAME_PAYLOAD) {
                     Ok(Some(payload)) => match decode_hello(&payload) {
-                        Some((client_min, client_max)) => {
-                            match negotiate(client_min, client_max) {
-                                Ok(version) => {
-                                    conn.io.queue_payload(&encode_hello_ack(version));
-                                    match version {
-                                        1 => self.metrics.negotiated_v1.inc(),
-                                        2 => self.metrics.negotiated_v2.inc(),
-                                        _ => self.metrics.negotiated_v3.inc(),
-                                    }
-                                    conn.phase = Phase::Active { version };
-                                }
-                                Err(err) => {
-                                    // Pre-negotiation errors are plain
-                                    // frames: the peer has no version
-                                    // yet, so no envelope either.
-                                    conn.io.queue_payload(&QueryResponse::Error(err).encode());
-                                    conn.closing = true;
-                                    return Verdict::Keep;
-                                }
+                        Some((client_min, client_max)) => match negotiate(client_min, client_max) {
+                            Ok(version) => {
+                                conn.io.queue_payload(&encode_hello_ack(version));
+                                self.metrics.negotiated_v3.inc();
+                                conn.phase = Phase::Active;
                             }
-                        }
+                            Err(err) => {
+                                queue_plain_error(conn, err);
+                                conn.closing = true;
+                                return Verdict::Keep;
+                            }
+                        },
                         None => {
-                            conn.io.queue_payload(
-                                &QueryResponse::Error(QueryError::Malformed("bad hello".into()))
-                                    .encode(),
-                            );
+                            queue_plain_error(conn, QueryError::Malformed("bad hello".into()));
                             conn.closing = true;
                             return Verdict::Keep;
                         }
                     },
                     Ok(None) => return Verdict::Keep,
                     Err(FrameParseError::TooLarge(len)) => {
-                        conn.io.queue_payload(
-                            &QueryResponse::Error(QueryError::FrameTooLarge(len)).encode(),
-                        );
+                        queue_plain_error(conn, QueryError::FrameTooLarge(len));
                         conn.closing = true;
                         return Verdict::Keep;
                     }
                     Err(_) => return Verdict::Drop,
                 },
-                Phase::Active { version } => {
+                Phase::Active => {
                     loop {
                         if conn.pending.len() > MAX_PENDING_REQUESTS {
                             return Verdict::Keep;
@@ -689,7 +667,7 @@ impl EventLoop {
                                         QueryError::Malformed("unreadable frame".into())
                                     }
                                 };
-                                self.queue_error(conn, version, CONNECTION_STREAM, false, qerr);
+                                self.queue_error(conn, CONNECTION_STREAM, false, qerr);
                                 conn.closing = true;
                                 return Verdict::Keep;
                             }
@@ -700,23 +678,18 @@ impl EventLoop {
         }
     }
 
-    /// Execute parked request frames. v3 connections process everything
-    /// (replies multiplex); v1/v2 are strictly sequential — the next
-    /// request starts only when no reply is in flight.
+    /// Execute parked request frames in arrival order; replies
+    /// multiplex, so a request never waits for an earlier reply.
     fn process_pending(&self, conn: &mut Conn) -> Verdict {
-        let version = match conn.phase {
-            Phase::Active { version } => version,
-            Phase::Handshake => return Verdict::Keep,
-        };
+        if matches!(conn.phase, Phase::Handshake) {
+            return Verdict::Keep;
+        }
         while !conn.pending.is_empty() && !conn.closing {
-            if version < 3 && !conn.replies.is_empty() {
-                break;
-            }
             if conn.io.pending_output() > IN_GATE {
                 break;
             }
             let payload = conn.pending.pop_front().expect("non-empty");
-            if let Verdict::Drop = self.process_request(conn, version, &payload) {
+            if let Verdict::Drop = self.process_request(conn, &payload) {
                 return Verdict::Drop;
             }
         }
@@ -724,36 +697,24 @@ impl EventLoop {
     }
 
     /// Decode and execute one request frame. Streaming requests push a
-    /// [`ReplyStream`]; one-shot requests queue their answer directly.
-    fn process_request(&self, conn: &mut Conn, version: u16, payload: &[u8]) -> Verdict {
-        // v3 frames wrap the v2 body in a stream envelope; unwrap (and
-        // inflate) first. An unreadable envelope is connection-fatal,
-        // like an unreadable frame.
-        let (body, stream_id, accept_compressed): (std::borrow::Cow<'_, [u8]>, u32, bool) =
-            if version >= 3 {
-                match decode_stream_frame(payload) {
-                    Ok(frame) => (
-                        std::borrow::Cow::Owned(frame.body),
-                        frame.stream_id,
-                        frame.accept_compressed,
-                    ),
-                    Err(err) => {
-                        self.queue_error(conn, version, CONNECTION_STREAM, false, err);
-                        conn.closing = true;
-                        return Verdict::Keep;
-                    }
-                }
-            } else {
-                (
-                    std::borrow::Cow::Borrowed(payload),
-                    CONNECTION_STREAM,
-                    false,
-                )
-            };
+    /// [`ReplyStream`]; single-frame requests queue their answer
+    /// directly.
+    fn process_request(&self, conn: &mut Conn, payload: &[u8]) -> Verdict {
+        // Unwrap (and inflate) the stream envelope first. An unreadable
+        // envelope is connection-fatal, like an unreadable frame.
+        let frame = match decode_stream_frame(payload) {
+            Ok(frame) => frame,
+            Err(err) => {
+                self.queue_error(conn, CONNECTION_STREAM, false, err);
+                conn.closing = true;
+                return Verdict::Keep;
+            }
+        };
+        let (stream_id, accept_compressed) = (frame.stream_id, frame.accept_compressed);
 
         self.metrics.requests.inc();
         let exec_start = Instant::now();
-        let (response, fatal) = match QueryRequest::decode_traced(&body, version) {
+        let (response, fatal) = match QueryRequest::decode_traced(&frame.body) {
             // ---- streaming requests: replies are frame streams. ----
             Ok((QueryRequest::Plan(plan), client_trace)) => {
                 let mut root = self
@@ -925,42 +886,33 @@ impl EventLoop {
                 // The end frame doubles as the close acknowledgement.
                 (QueryResponse::StreamEnd { cursor: None }, false)
             }
-            // ---- v2 telemetry: the whole registry in one reply. ----
+            // ---- telemetry: the whole registry in one reply. ----
             Ok((QueryRequest::Metrics, _)) => (
                 QueryResponse::Metrics(self.metrics.registry.snapshot()),
                 false,
             ),
-            // ---- v2 tracing: reassembled flight-recorder trees. ----
+            // ---- tracing: reassembled flight-recorder trees. ----
             Ok((QueryRequest::Traces(filter), _)) => (
                 QueryResponse::Traces(self.metrics.traces.traces(&filter)),
                 false,
             ),
-            // ---- one-frame requests (v1 set, valid on v2/v3 too). ----
-            Ok((request, _)) => {
-                // On v2+ connections an inverted selection range draws
-                // the typed error instead of silently matching nothing
-                // (v1 keeps its historical empty answer).
-                let invalid = match &request {
-                    QueryRequest::LibraryUsage { selection } if version >= 2 => {
-                        selection.validate().err()
-                    }
-                    _ => None,
+            // ---- single-frame answers no plan expresses. ----
+            Ok((QueryRequest::Status, _)) => {
+                let mut status = self.shared.status(PROTOCOL_VERSION);
+                fill_traffic_counters(&self.metrics, &self.cursors, &mut status);
+                (QueryResponse::Status(status), false)
+            }
+            Ok((QueryRequest::LibraryUsage { selection }, _)) => {
+                // An inverted range draws the typed error instead of
+                // silently matching nothing. Lock-free: the answer
+                // comes entirely from the current snapshot `Arc`.
+                let response = match selection.validate() {
+                    Ok(()) => QueryResponse::LibraryUsage(library_usage(
+                        self.shared.load().filtered(&selection),
+                    )),
+                    Err(err) => QueryResponse::Error(err),
                 };
-                if let Some(err) = invalid {
-                    (QueryResponse::Error(err), false)
-                } else {
-                    // Lock-free read path: clone the current snapshot
-                    // Arc and answer entirely from it. Only a Status
-                    // answer reads the traffic counters — the cursor
-                    // table's lock (and its TTL sweep) must not sit on
-                    // the ByJob/LibraryUsage/Neighbors hot path.
-                    let mut status = self.shared.status(version);
-                    if matches!(request, QueryRequest::Status) {
-                        fill_traffic_counters(&self.metrics, &self.cursors, &mut status);
-                    }
-                    let snapshot = self.shared.load();
-                    (snapshot.respond(status, &request), false)
-                }
+                (response, false)
             }
             // Intact frame, unknown tag: answer and keep the
             // connection.
@@ -970,16 +922,15 @@ impl EventLoop {
         // The client's reader refuses payloads above the protocol cap,
         // so sending one would kill the connection mid-answer;
         // substitute a typed error the client can act on instead.
-        let mut encoded = response.encode_versioned(version);
-        let cap = self.body_cap(version);
-        if encoded.len() > cap {
+        let mut encoded = response.encode();
+        if encoded.len() > BODY_CAP {
             encoded = QueryResponse::Error(QueryError::Internal(format!(
                 "response of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte frame cap; narrow the query",
                 encoded.len()
             )))
-            .encode_versioned(version);
+            .encode();
         }
-        self.queue_body(conn, version, stream_id, accept_compressed, &encoded);
+        self.queue_body(conn, stream_id, accept_compressed, &encoded);
         self.metrics.exec_ns.record_duration(exec_start.elapsed());
         if fatal {
             conn.closing = true;
@@ -987,31 +938,9 @@ impl EventLoop {
         Verdict::Keep
     }
 
-    /// Largest reply body that still fits one wire frame once the v3
-    /// envelope header is added.
-    fn body_cap(&self, version: u16) -> usize {
-        let cap = MAX_FRAME_PAYLOAD as usize;
-        if version >= 3 {
-            cap - STREAM_HEADER_LEN
-        } else {
-            cap
-        }
-    }
-
-    /// Queue one reply body on the wire: plain on v1/v2, enveloped
-    /// (and possibly compressed) on v3.
-    fn queue_body(
-        &self,
-        conn: &mut Conn,
-        version: u16,
-        stream_id: u32,
-        accept_compressed: bool,
-        body: &[u8],
-    ) {
-        if version < 3 {
-            conn.io.queue_payload(body);
-            return;
-        }
+    /// Queue one reply body on the wire, enveloped under `stream_id`
+    /// (and compressed when the request accepted it and it pays).
+    fn queue_body(&self, conn: &mut Conn, stream_id: u32, accept_compressed: bool, body: &[u8]) {
         let compress_min = accept_compressed.then_some(self.compress_min);
         let wire = encode_stream_frame(stream_id, body, false, compress_min);
         if wire.len() > STREAM_HEADER_LEN
@@ -1025,17 +954,16 @@ impl EventLoop {
         conn.io.queue_payload(&wire);
     }
 
-    /// Queue a typed error frame under the connection's framing rules.
+    /// Queue a typed error frame, enveloped under `stream_id`.
     fn queue_error(
         &self,
         conn: &mut Conn,
-        version: u16,
         stream_id: u32,
         accept_compressed: bool,
         err: QueryError,
     ) {
-        let body = QueryResponse::Error(err).encode_versioned(version.max(1));
-        self.queue_body(conn, version, stream_id, accept_compressed, &body);
+        let body = QueryResponse::Error(err).encode();
+        self.queue_body(conn, stream_id, accept_compressed, &body);
     }
 
     /// Produce batches into the outbound buffer while it sits under
@@ -1074,24 +1002,19 @@ impl EventLoop {
     /// Produce one frame of `reply` (a prefetched batch, a live batch,
     /// or the terminator).
     fn step_reply(&self, conn: &mut Conn, reply: &mut ReplyStream) -> StepOutcome {
-        let version = match conn.phase {
-            Phase::Active { version } => version,
-            Phase::Handshake => unreachable!("replies require negotiation"),
-        };
         // 0. Epoch subscriptions stream through the shipper (one frame
         //    per step, same watermark pacing as row streams).
         if reply.shipper.is_some() {
-            return self.step_epoch_stream(conn, version, reply);
+            return self.step_epoch_stream(conn, reply);
         }
         // 1. Prefetched page first: bytes already serialized at park
         //    time, just framed (and possibly compressed) here.
         if let Some((body, rows)) = reply.prefetched.pop_front() {
-            if body.len() > self.body_cap(version) {
+            if body.len() > BODY_CAP {
                 // A pathological record blew the frame cap during
                 // prefetch; same terminal error as live production.
                 self.queue_error(
                     conn,
-                    version,
                     reply.stream_id,
                     reply.accept_compressed,
                     QueryError::Internal(format!(
@@ -1102,13 +1025,7 @@ impl EventLoop {
                 );
                 return StepOutcome::Finished;
             }
-            self.queue_body(
-                conn,
-                version,
-                reply.stream_id,
-                reply.accept_compressed,
-                &body,
-            );
+            self.queue_body(conn, reply.stream_id, reply.accept_compressed, &body);
             reply.sent_rows += rows as usize;
             return StepOutcome::Progress;
         }
@@ -1119,7 +1036,7 @@ impl EventLoop {
                 if let Some(batch) = cursor.next_batch(want, BATCH_BYTE_BUDGET) {
                     reply.sent_rows += batch.len();
                     let serialize_start = Instant::now();
-                    let encoded = QueryResponse::Batch(batch).encode_versioned(version);
+                    let encoded = QueryResponse::Batch(batch).encode();
                     let serialize_elapsed = serialize_start.elapsed();
                     self.metrics
                         .batch_serialize_ns
@@ -1136,7 +1053,7 @@ impl EventLoop {
                             serialize_elapsed,
                         );
                     }
-                    if encoded.len() > self.body_cap(version) {
+                    if encoded.len() > BODY_CAP {
                         // A single batch blew the frame cap
                         // (pathological record). The client treats an
                         // error frame as the reply terminator, so it
@@ -1144,7 +1061,6 @@ impl EventLoop {
                         // continue.
                         self.queue_error(
                             conn,
-                            version,
                             reply.stream_id,
                             reply.accept_compressed,
                             QueryError::Internal(format!(
@@ -1155,13 +1071,7 @@ impl EventLoop {
                         );
                         return StepOutcome::Finished;
                     }
-                    self.queue_body(
-                        conn,
-                        version,
-                        reply.stream_id,
-                        reply.accept_compressed,
-                        &encoded,
-                    );
+                    self.queue_body(conn, reply.stream_id, reply.accept_compressed, &encoded);
                     return StepOutcome::Progress;
                 }
             }
@@ -1170,7 +1080,7 @@ impl EventLoop {
         //    prefetched) and hand out a cursor id.
         let end = match reply.cursor.take() {
             Some(cursor) if !cursor.is_exhausted() => {
-                let (cursor, prefetched) = self.build_prefetch(version, reply, cursor);
+                let (cursor, prefetched) = self.build_prefetch(reply, cursor);
                 QueryResponse::StreamEnd {
                     cursor: Some(self.cursors.park(cursor, prefetched)),
                 }
@@ -1179,22 +1089,16 @@ impl EventLoop {
         };
         self.queue_body(
             conn,
-            version,
             reply.stream_id,
             reply.accept_compressed,
-            &end.encode_versioned(version),
+            &end.encode(),
         );
         StepOutcome::Finished
     }
 
     /// Produce one frame of an epoch subscription: the shipper's next
     /// batch, commit marker, or terminator.
-    fn step_epoch_stream(
-        &self,
-        conn: &mut Conn,
-        version: u16,
-        reply: &mut ReplyStream,
-    ) -> StepOutcome {
+    fn step_epoch_stream(&self, conn: &mut Conn, reply: &mut ReplyStream) -> StepOutcome {
         let shipper = reply.shipper.as_mut().expect("epoch stream shipper");
         let Some(frame) = shipper.next_frame() else {
             return StepOutcome::Finished;
@@ -1212,7 +1116,7 @@ impl EventLoop {
             EpochFrame::End { response } => (response, false, StepOutcome::Finished),
         };
         let serialize_start = Instant::now();
-        let encoded = response.encode_versioned(version);
+        let encoded = response.encode();
         let serialize_elapsed = serialize_start.elapsed();
         self.metrics
             .batch_serialize_ns
@@ -1229,14 +1133,13 @@ impl EventLoop {
         if is_batch {
             self.metrics.repl_bytes_shipped.add(encoded.len() as u64);
         }
-        if encoded.len() > self.body_cap(version) {
+        if encoded.len() > BODY_CAP {
             // A pathological record blew the frame cap; the error frame
             // terminates the reply (the follower resubscribes from its
             // high-water mark, so nothing is lost — but it cannot make
             // progress past this record without a smaller batch_rows).
             self.queue_error(
                 conn,
-                version,
                 reply.stream_id,
                 reply.accept_compressed,
                 QueryError::Internal(format!(
@@ -1247,24 +1150,17 @@ impl EventLoop {
             );
             return StepOutcome::Finished;
         }
-        self.queue_body(
-            conn,
-            version,
-            reply.stream_id,
-            reply.accept_compressed,
-            &encoded,
-        );
+        self.queue_body(conn, reply.stream_id, reply.accept_compressed, &encoded);
         outcome
     }
 
-    /// Precompute the next page of `cursor` as serialized v2 batch
-    /// bodies (connection-agnostic: compression and the envelope are
+    /// Precompute the next page of `cursor` as serialized batch bodies
+    /// (connection-agnostic: compression and the envelope are
     /// applied at queue time, so a cross-connection fetch serves them
     /// unchanged). Serialize time is recorded under the parking
     /// request's exec span — the prefetch is that request's work.
     fn build_prefetch(
         &self,
-        version: u16,
         reply: &ReplyStream,
         mut cursor: PlanCursor,
     ) -> (PlanCursor, Vec<(Vec<u8>, u32)>) {
@@ -1281,7 +1177,7 @@ impl EventLoop {
             let batch_rows = batch.len() as u32;
             rows += batch.len();
             let serialize_start = Instant::now();
-            let encoded = QueryResponse::Batch(batch).encode_versioned(version);
+            let encoded = QueryResponse::Batch(batch).encode();
             let serialize_elapsed = serialize_start.elapsed();
             self.metrics
                 .batch_serialize_ns
@@ -1302,6 +1198,12 @@ impl EventLoop {
         }
         (cursor, prefetched)
     }
+}
+
+/// Queue a typed error as a plain frame: a connection that never got its
+/// hello-ack has no stream envelope, so its refusal travels bare.
+fn queue_plain_error(conn: &mut Conn, err: QueryError) {
+    conn.io.queue_payload(&QueryResponse::Error(err).encode());
 }
 
 /// Outcome of one reply production step.

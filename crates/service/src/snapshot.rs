@@ -38,7 +38,7 @@ use crate::daemon::EpochRecord;
 use siren_analysis::{library_usage, usage_table, LibraryUsageRow, UsageRow};
 use siren_consolidate::ProcessRecord;
 use siren_fuzzy::{FuzzyHash, FuzzyIndex};
-use siren_proto::{NeighborRow, QueryRequest, QueryResponse, RecordRow, Selection, StatusInfo};
+use siren_proto::Selection;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -392,60 +392,6 @@ impl QuerySnapshot {
     /// epoch-slice plans can skip non-matching layers wholesale).
     pub(crate) fn layer_stack(&self) -> &[Arc<SnapshotLayer>] {
         &self.layers
-    }
-
-    /// Answer one protocol request against this snapshot. `status`
-    /// carries the live daemon counters (the snapshot itself only knows
-    /// committed state); its store-shape fields are overwritten from the
-    /// snapshot so a `Status` answer is always self-consistent.
-    pub fn respond(&self, mut status: StatusInfo, request: &QueryRequest) -> QueryResponse {
-        match request {
-            QueryRequest::Status => {
-                status.committed_epochs = self.epochs();
-                status.records = self.len() as u64;
-                QueryResponse::Status(status)
-            }
-            QueryRequest::ByJob { job_id } => QueryResponse::Rows(
-                self.job_records(*job_id)
-                    .into_iter()
-                    .map(|er| RecordRow {
-                        epoch: er.epoch,
-                        record: er.record.clone(),
-                    })
-                    .collect(),
-            ),
-            QueryRequest::LibraryUsage { selection } => {
-                QueryResponse::LibraryUsage(library_usage(self.filtered(selection)))
-            }
-            QueryRequest::Neighbors { hash, k, min_score } => QueryResponse::Neighbors(
-                self.nearest_neighbors(hash, *k as usize, *min_score)
-                    .into_iter()
-                    .map(|n| NeighborRow {
-                        score: n.score,
-                        epoch: n.epoch,
-                        record: n.record.clone(),
-                    })
-                    .collect(),
-            ),
-            // Streaming requests never reach the one-frame answer
-            // path: the server routes them through `PlanCursor` (see
-            // `plan.rs`), and in-process callers use
-            // [`QuerySnapshot::plan_rows`].
-            // `Metrics` and `Traces` likewise: only the server holds
-            // the registry and the flight recorder.
-            // `SubscribeEpochs` streams through the server's epoch
-            // shipper the same way.
-            QueryRequest::Plan(_)
-            | QueryRequest::FetchCursor { .. }
-            | QueryRequest::CloseCursor { .. }
-            | QueryRequest::Metrics
-            | QueryRequest::Traces(_)
-            | QueryRequest::SubscribeEpochs { .. } => {
-                QueryResponse::Error(siren_proto::QueryError::Internal(
-                    "streaming requests are answered by the plan executor, not respond()".into(),
-                ))
-            }
-        }
     }
 }
 

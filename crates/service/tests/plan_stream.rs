@@ -1,10 +1,9 @@
-//! Protocol-v2 end-to-end tests: composable plans answered as batch
-//! streams with resumable, snapshot-pinned cursors.
+//! End-to-end plan tests: composable plans answered as batch streams
+//! with resumable, snapshot-pinned cursors.
 //!
-//! The acceptance bar: a v2 client paginating an epoch-slice plan
-//! **while epochs commit mid-cursor** returns exactly the rows a
-//! one-shot v1 query saw on the pinned snapshot; a v1 client works
-//! unchanged against the same server; and the property suite fuzzes
+//! The acceptance bar: a client paginating an epoch-slice plan **while
+//! epochs commit mid-cursor** returns exactly the rows the in-process
+//! snapshot held when the cursor opened, and the property suite fuzzes
 //! plans (slices, filters, orders, limits, projections, batch/page
 //! geometry) against a hand-computed oracle.
 
@@ -62,8 +61,9 @@ fn server_config(dir: &PathBuf) -> ServiceConfig {
 
 /// The headline guarantee: a cursor opened before an epoch commits
 /// keeps answering from the snapshot it pinned — pagination mid-ingest
-/// returns exactly what a one-shot v1 `ByJob` returned *before* the
-/// commits, and a fresh plan afterwards sees the new epochs.
+/// returns exactly the job's records in the in-process snapshot taken
+/// *before* the commits, and a fresh plan afterwards sees the new
+/// epochs.
 #[test]
 fn pagination_is_snapshot_consistent_across_mid_cursor_commits() {
     let dir = temp_dir("pinned");
@@ -78,23 +78,27 @@ fn pagination_is_snapshot_consistent_across_mid_cursor_commits() {
     }
     let addr = daemon.query_addr().unwrap();
 
-    // One-shot v1 answer on the current (to-be-pinned) snapshot, from a
-    // connection pinned to v1.
-    let mut v1 = SirenClient::connect_with_versions(addr, 1, 1, Duration::from_secs(5)).unwrap();
-    assert_eq!(v1.negotiated_version(), 1);
-    let one_shot: Vec<RecordRow> = v1.by_job(3).unwrap();
-    assert!(!one_shot.is_empty());
+    // The oracle: job 3's records in the current (to-be-pinned)
+    // snapshot, read in-process through the per-job postings.
+    let pinned: Vec<RecordRow> = daemon
+        .snapshot()
+        .job_records(3)
+        .into_iter()
+        .map(|er| RecordRow {
+            epoch: er.epoch,
+            record: er.record.clone(),
+        })
+        .collect();
+    assert!(!pinned.is_empty());
 
     // Open the streamed cursor with a page far smaller than the answer,
-    // so pagination spans many fetches. A default connection negotiates
-    // the current protocol version.
-    let mut v2 = SirenClient::connect(addr).unwrap();
-    assert_eq!(v2.negotiated_version(), siren_proto::PROTOCOL_VERSION);
+    // so pagination spans many fetches.
+    let mut client = SirenClient::connect(addr).unwrap();
     let plan = QueryPlan::records()
         .filter(Selection::all().job(3).epochs(0, 2))
         .batch_rows(4)
         .page_rows(8);
-    let mut stream = v2.query(plan).unwrap();
+    let mut stream = client.query(plan).unwrap();
 
     // First page only, then let two more epochs commit mid-cursor.
     let mut streamed: Vec<RecordRow> = Vec::new();
@@ -112,24 +116,24 @@ fn pagination_is_snapshot_consistent_across_mid_cursor_commits() {
     }
 
     // Drain the rest of the cursor: the mid-cursor commits must be
-    // invisible (pinned snapshot), so rows == the pre-commit one-shot.
+    // invisible (pinned snapshot), so rows == the pre-commit oracle.
     for row in &mut stream {
         streamed.push(row.unwrap().into_record().unwrap());
     }
     drop(stream);
-    assert_eq!(streamed, one_shot, "pagination tore across commits");
+    assert_eq!(streamed, pinned, "pagination tore across commits");
 
     // A *fresh* plan sees the new epochs (the pin is per-cursor, not a
     // stale server).
-    let fresh: Vec<PlanRow> = v2
+    let fresh: Vec<PlanRow> = client
         .query(QueryPlan::records().filter(Selection::all().job(3)))
         .unwrap()
         .collect_rows()
         .unwrap();
-    assert!(fresh.len() > one_shot.len());
+    assert!(fresh.len() > pinned.len());
 
     // And the epoch-slice plan still answers only the sliced epochs.
-    let sliced: Vec<PlanRow> = v2
+    let sliced: Vec<PlanRow> = client
         .query(QueryPlan::records().filter(Selection::all().job(3).epochs(0, 2)))
         .unwrap()
         .collect_rows()
@@ -139,7 +143,7 @@ fn pagination_is_snapshot_consistent_across_mid_cursor_commits() {
             .into_iter()
             .map(|r| r.into_record().unwrap())
             .collect::<Vec<_>>(),
-        one_shot
+        pinned
     );
 
     drop(daemon);
@@ -374,82 +378,10 @@ fn in_process_plan_rows_equals_wire_stream() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// v1 clients work unchanged against the v2 server, and the v1
-/// fallback in the typed client answers expressible plans.
+/// Inverted ranges draw the typed `InvalidPlan` error on every wire
+/// path: plan open and LibraryUsage.
 #[test]
-fn v1_clients_and_fallback_work_against_the_v2_server() {
-    let dir = temp_dir("v1compat");
-    let (mut daemon, _) = SirenDaemon::open(server_config(&dir)).unwrap();
-    daemon
-        .import_epoch((0..200).map(|i| record(i, 6)).collect())
-        .unwrap();
-    let addr = daemon.query_addr().unwrap();
-    let snapshot = daemon.snapshot();
-
-    let mut v1 = SirenClient::connect_with_versions(addr, 1, 1, Duration::from_secs(5)).unwrap();
-    assert_eq!(v1.negotiated_version(), 1);
-
-    // The whole v1 surface answers as before.
-    let status = v1.status().unwrap();
-    assert_eq!(status.protocol_version, 1);
-    assert_eq!(status.records, snapshot.len() as u64);
-    // …and the v2-only counters stay at their defaults on a v1 answer.
-    assert_eq!(status.open_cursors, 0);
-    assert!(status.version_connections.is_empty());
-    let rows = v1.by_job(2).unwrap();
-    assert!(!rows.is_empty());
-    assert!(rows.iter().all(|r| r.record.key.job_id == 2));
-    assert!(!v1
-        .library_usage(Selection::all().host("nid000001"))
-        .unwrap()
-        .is_empty());
-
-    // A v2-only selection is refused client-side on a v1 connection.
-    assert!(matches!(
-        v1.library_usage(Selection::all().job(1)),
-        Err(ClientError::Unsupported(_))
-    ));
-
-    // The v1 fallback answers a job-keyed record plan identically to a
-    // v2 connection's stream.
-    let plan = QueryPlan::records()
-        .filter(Selection::all().job(2))
-        .order_by(Order::TimeAsc)
-        .limit(20)
-        .project(Projection::Keys);
-    let via_v1 = v1.query(plan.clone()).unwrap().collect_rows().unwrap();
-    let mut v2 = SirenClient::connect(addr).unwrap();
-    let via_v2 = v2.query(plan).unwrap().collect_rows().unwrap();
-    assert_eq!(via_v1, via_v2);
-    assert!(!via_v1.is_empty());
-
-    // Inexpressible plans fail typed, not silently.
-    assert!(matches!(
-        v1.query(QueryPlan::usage_table()),
-        Err(ClientError::Unsupported(_))
-    ));
-    assert!(matches!(
-        v1.query(QueryPlan::records()),
-        Err(ClientError::Unsupported(_))
-    ));
-
-    // A raw v2 Plan tag on the v1 connection draws UnknownRequest and
-    // the connection survives (same posture as any unknown tag).
-    assert!(matches!(
-        v1.call(&siren_proto::QueryRequest::FetchCursor { cursor: 1 }),
-        Err(ClientError::Server(QueryError::UnknownRequest(5)))
-    ));
-    assert!(v1.status().is_ok(), "connection must survive unknown tag");
-
-    drop(daemon);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Inverted ranges draw the typed `InvalidPlan` error on v2 paths
-/// (plan open and v2 LibraryUsage), while a v1 connection keeps the
-/// historical silently-empty answer.
-#[test]
-fn inverted_ranges_are_rejected_with_typed_errors_on_v2() {
+fn inverted_ranges_are_rejected_with_typed_errors() {
     let dir = temp_dir("inverted");
     let (mut daemon, _) = SirenDaemon::open(server_config(&dir)).unwrap();
     daemon
@@ -457,28 +389,21 @@ fn inverted_ranges_are_rejected_with_typed_errors_on_v2() {
         .unwrap();
     let addr = daemon.query_addr().unwrap();
 
-    let mut v2 = SirenClient::connect(addr).unwrap();
+    let mut client = SirenClient::connect(addr).unwrap();
     // Client-side validation fires first…
     assert!(matches!(
-        v2.query(QueryPlan::records().filter(Selection::all().between(9, 3))),
+        client.query(QueryPlan::records().filter(Selection::all().between(9, 3))),
         Err(ClientError::Server(QueryError::InvalidPlan(_)))
     ));
     // …and the server rejects a hand-rolled inverted LibraryUsage too.
     assert!(matches!(
-        v2.call(&siren_proto::QueryRequest::LibraryUsage {
+        client.call(&siren_proto::QueryRequest::LibraryUsage {
             selection: Selection::all().between(9, 3),
         }),
         Err(ClientError::Server(QueryError::InvalidPlan(_)))
     ));
     // The connection survives the typed error.
-    assert!(v2.status().is_ok());
-
-    // v1 keeps its historical behavior: empty rows, no error.
-    let mut v1 = SirenClient::connect_with_versions(addr, 1, 1, Duration::from_secs(5)).unwrap();
-    assert!(v1
-        .library_usage(Selection::all().between(9, 3))
-        .unwrap()
-        .is_empty());
+    assert!(client.status().is_ok());
 
     drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();

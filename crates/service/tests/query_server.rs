@@ -1,8 +1,8 @@
 //! End-to-end query-server tests: a daemon ingesting epochs over real
 //! UDP loopback while concurrent clients query over TCP. At every
 //! commit point the wire answers must equal the in-process
-//! [`QuerySnapshot`] results — the acceptance bar for the versioned
-//! query protocol. A second suite feeds the server hostile bytes
+//! [`QuerySnapshot`] results — the acceptance bar for the query
+//! protocol. A second suite feeds the server hostile bytes
 //! (truncated frames, bad checksums, unknown tags, absurd length
 //! prefixes) and requires typed errors and clean closes, never panics.
 
@@ -10,8 +10,9 @@ use siren_cluster::{Campaign, CampaignConfig, FleetConfig};
 use siren_collector::{Collector, PolicyMode};
 use siren_net::{Sender as _, SimChannel, SimConfig, UdpReceiver, UdpSender};
 use siren_proto::{
-    encode_hello, read_frame, write_frame, ClientError, NeighborRow, QueryError, QueryRequest,
-    QueryResponse, RecordRow, Selection, SirenClient, TraceFilter, TraceId, PROTOCOL_VERSION,
+    decode_hello_ack, decode_stream_frame, encode_hello, encode_stream_frame, read_frame,
+    write_frame, ClientError, NeighborRow, QueryError, QueryRequest, QueryResponse, RecordRow,
+    Selection, SirenClient, TraceFilter, TraceId, PROTOCOL_VERSION,
 };
 use siren_service::{ServiceConfig, SirenDaemon};
 use siren_store::SegmentedOptions;
@@ -80,7 +81,6 @@ fn tcp_answers_equal_in_process_snapshot_at_every_commit_point() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut client = SirenClient::connect(qaddr).expect("chaos connect");
-                assert_eq!(client.negotiated_version(), PROTOCOL_VERSION);
                 let mut calls = 0u64;
                 let mut last_records = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -312,30 +312,6 @@ fn metrics_request_returns_live_registry_snapshot() {
         .iter()
         .any(|&(v, n)| v == PROTOCOL_VERSION && n >= 1));
 
-    // A v1 connection gets UnknownRequest(7) for the Metrics tag — and
-    // the connection survives, exactly like any other unknown tag.
-    {
-        let mut stream = TcpStream::connect(qaddr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        write_frame(&mut stream, &encode_hello(1, 1)).unwrap();
-        let ack = read_frame(&mut stream).unwrap();
-        assert_eq!(siren_proto::decode_hello_ack(&ack), Some(1));
-        write_frame(&mut stream, &QueryRequest::Metrics.encode_versioned(2)).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        assert!(matches!(
-            QueryResponse::decode_versioned(&payload, 1),
-            Ok(QueryResponse::Error(QueryError::UnknownRequest(7)))
-        ));
-        write_frame(&mut stream, &QueryRequest::Status.encode_versioned(1)).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        assert!(matches!(
-            QueryResponse::decode_versioned(&payload, 1),
-            Ok(QueryResponse::Status(_))
-        ));
-    }
-
     drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -440,31 +416,6 @@ fn traced_plan_reassembles_into_one_tree_across_cursor_fetches() {
     assert_eq!(in_process.len(), 1);
     assert_eq!(&in_process[0], tree);
 
-    // A v1 connection gets UnknownRequest(8) for the Traces tag — and
-    // the connection survives, exactly like any other unknown tag.
-    {
-        let mut stream = TcpStream::connect(qaddr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        write_frame(&mut stream, &encode_hello(1, 1)).unwrap();
-        let ack = read_frame(&mut stream).unwrap();
-        assert_eq!(siren_proto::decode_hello_ack(&ack), Some(1));
-        let traces_req = QueryRequest::Traces(TraceFilter::recent()).encode_versioned(2);
-        write_frame(&mut stream, &traces_req).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        assert!(matches!(
-            QueryResponse::decode_versioned(&payload, 1),
-            Ok(QueryResponse::Error(QueryError::UnknownRequest(8)))
-        ));
-        write_frame(&mut stream, &QueryRequest::Status.encode_versioned(1)).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        assert!(matches!(
-            QueryResponse::decode_versioned(&payload, 1),
-            Ok(QueryResponse::Status(_))
-        ));
-    }
-
     drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -478,25 +429,45 @@ fn hostile_daemon(tag: &str) -> (SirenDaemon, std::net::SocketAddr, PathBuf) {
     (daemon, addr, dir)
 }
 
-/// Raw TCP connection that has completed the hello exchange, pinned to
-/// v2: these hostile cases drive the legacy plain-frame layout byte by
-/// byte (a v3 connection wraps frames in the stream envelope — its
-/// hostile-envelope cases live in the reactor E2E suite).
+/// Raw TCP connection that has completed the hello exchange: these
+/// hostile cases drive the frame layer byte by byte (hostile stream
+/// envelopes live in the reactor E2E suite).
 fn negotiated_stream(addr: std::net::SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    write_frame(&mut stream, &encode_hello(1, 2)).unwrap();
+    write_frame(
+        &mut stream,
+        &encode_hello(PROTOCOL_VERSION, PROTOCOL_VERSION),
+    )
+    .unwrap();
     let ack = read_frame(&mut stream).unwrap();
-    assert_eq!(siren_proto::decode_hello_ack(&ack), Some(2));
+    assert_eq!(decode_hello_ack(&ack), Some(PROTOCOL_VERSION));
     stream
 }
 
-fn expect_error_then_close(mut stream: TcpStream) -> QueryError {
-    let payload = read_frame(&mut stream).expect("server must answer before closing");
-    let err = match QueryResponse::decode(&payload) {
-        Ok(QueryResponse::Error(err)) => err,
+/// Read one enveloped reply frame: `(stream id, response)`.
+fn read_reply(stream: &mut TcpStream) -> (u32, QueryResponse) {
+    let payload = read_frame(stream).expect("server must answer");
+    let frame = decode_stream_frame(&payload).expect("replies are enveloped");
+    (
+        frame.stream_id,
+        QueryResponse::decode(&frame.body).expect("reply must decode"),
+    )
+}
+
+/// Expect one typed error, then a clean close. `enveloped` is false
+/// only for a refused hello, answered before any envelope exists.
+fn expect_error_then_close(mut stream: TcpStream, enveloped: bool) -> QueryError {
+    let response = if enveloped {
+        read_reply(&mut stream).1
+    } else {
+        let payload = read_frame(&mut stream).expect("server must answer before closing");
+        QueryResponse::decode(&payload).expect("refusal must decode")
+    };
+    let err = match response {
+        QueryResponse::Error(err) => err,
         other => panic!("expected error response, got {other:?}"),
     };
     // …and then a clean close.
@@ -520,7 +491,7 @@ fn hostile_protocol_input_draws_typed_errors_and_clean_closes() {
         evil.extend_from_slice(&(u32::MAX).to_le_bytes());
         stream.write_all(&evil).unwrap();
         assert!(matches!(
-            expect_error_then_close(stream),
+            expect_error_then_close(stream, true),
             QueryError::FrameTooLarge(_)
         ));
     }
@@ -528,12 +499,13 @@ fn hostile_protocol_input_draws_typed_errors_and_clean_closes() {
     // 2. Bad checksum: Malformed error, close.
     {
         let mut stream = negotiated_stream(addr);
-        let mut frame = siren_store::encode_frame(&QueryRequest::Status.encode());
+        let envelope = encode_stream_frame(1, &QueryRequest::Status.encode(), false, None);
+        let mut frame = siren_store::encode_frame(&envelope);
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         stream.write_all(&frame).unwrap();
         assert!(matches!(
-            expect_error_then_close(stream),
+            expect_error_then_close(stream, true),
             QueryError::Malformed(_)
         ));
     }
@@ -544,7 +516,7 @@ fn hostile_protocol_input_draws_typed_errors_and_clean_closes() {
         let mut stream = negotiated_stream(addr);
         stream.write_all(&[0x00u8]).unwrap();
         assert!(matches!(
-            expect_error_then_close(stream),
+            expect_error_then_close(stream, true),
             QueryError::Malformed(_)
         ));
     }
@@ -553,31 +525,31 @@ fn hostile_protocol_input_draws_typed_errors_and_clean_closes() {
     //    the connection SURVIVES for the next (valid) request.
     {
         let mut stream = negotiated_stream(addr);
-        write_frame(&mut stream, &[0xEEu8, 1, 2, 3]).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
+        let unknown = encode_stream_frame(1, &[0xEEu8, 1, 2, 3], false, None);
+        write_frame(&mut stream, &unknown).unwrap();
         assert!(matches!(
-            QueryResponse::decode(&payload),
-            Ok(QueryResponse::Error(QueryError::UnknownRequest(0xEE)))
+            read_reply(&mut stream),
+            (1, QueryResponse::Error(QueryError::UnknownRequest(0xEE)))
         ));
-        write_frame(&mut stream, &QueryRequest::Status.encode()).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        // Decode at the negotiated version: the v3 Status body carries
-        // replication fields a v2 answer legitimately lacks.
+        let status = encode_stream_frame(2, &QueryRequest::Status.encode(), false, None);
+        write_frame(&mut stream, &status).unwrap();
         assert!(matches!(
-            QueryResponse::decode_versioned(&payload, 2),
-            Ok(QueryResponse::Status(_))
+            read_reply(&mut stream),
+            (2, QueryResponse::Status(_))
         ));
     }
 
     // 5. Truncated frame then abrupt client close: server just closes.
     {
         let mut stream = negotiated_stream(addr);
-        let frame = siren_store::encode_frame(&QueryRequest::Status.encode());
+        let envelope = encode_stream_frame(1, &QueryRequest::Status.encode(), false, None);
+        let frame = siren_store::encode_frame(&envelope);
         stream.write_all(&frame[..frame.len() / 2]).unwrap();
         drop(stream);
     }
 
-    // 6. A future-only client version is refused with the server range.
+    // 6. A future-only client version is refused with the server's one
+    //    version, in a plain frame (no envelope before the ack).
     {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
@@ -589,8 +561,11 @@ fn hostile_protocol_input_draws_typed_errors_and_clean_closes() {
         )
         .unwrap();
         assert!(matches!(
-            expect_error_then_close(stream),
-            QueryError::UnsupportedVersion { .. }
+            expect_error_then_close(stream, false),
+            QueryError::UnsupportedVersion {
+                server_min: 3,
+                server_max: 3
+            }
         ));
     }
 

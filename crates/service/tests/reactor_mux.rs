@@ -126,11 +126,10 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
                 let muxes: Vec<_> = (0..per_thread)
                     .map(|c| {
                         let mut client = SirenClient::connect(qaddr).expect("connect");
-                        assert_eq!(client.negotiated_version(), PROTOCOL_VERSION);
                         if (t * per_thread + c).is_multiple_of(4) {
                             client.set_accept_compressed(true);
                         }
-                        client.into_mux().expect("v3 connection")
+                        client.into_mux().expect("usable connection")
                     })
                     .collect();
                 barrier.wait();
@@ -284,11 +283,10 @@ fn prefetch_toggle_does_not_change_results() {
     );
 }
 
-/// Hostile v3 envelopes: a post-negotiation frame too short to carry
-/// the stream header is a connection-scoped fault — the server answers
-/// with a typed error on stream 0 and closes. (The plain-frame hostile
-/// suite pins the v1/v2 behaviors byte for byte; this is its v3
-/// counterpart.)
+/// Hostile envelopes: a post-negotiation frame too short to carry the
+/// stream header is a connection-scoped fault — the server answers
+/// with a typed error on stream 0 and closes. (The frame-layer hostile
+/// suite lives in `query_server.rs`; this is its envelope counterpart.)
 #[test]
 fn undersized_v3_envelope_draws_stream_zero_error_and_close() {
     let daemon = daemon_with_data("hostile");
@@ -302,10 +300,9 @@ fn undersized_v3_envelope_draws_stream_zero_error_and_close() {
     let ack = read_frame(&mut stream).unwrap();
     assert_eq!(siren_proto::decode_hello_ack(&ack), Some(PROTOCOL_VERSION));
 
-    // Four bytes: a valid *frame*, but not a valid v3 envelope (the
-    // stream header alone is five). On v2 this exact payload was an
-    // UnknownRequest the connection survived; on v3 the envelope is
-    // unattributable, so the failure is connection-scoped.
+    // Four bytes: a valid *frame*, but not a valid envelope (the
+    // stream header alone is five). The envelope is unattributable, so
+    // the failure is connection-scoped.
     write_frame(&mut stream, &[0xEE, 1, 2, 3]).unwrap();
     let payload = read_frame(&mut stream).expect("error reply before close");
     let frame = decode_stream_frame(&payload).expect("reply must carry an envelope");
@@ -313,7 +310,7 @@ fn undersized_v3_envelope_draws_stream_zero_error_and_close() {
         frame.stream_id, CONNECTION_STREAM,
         "unattributable faults answer on stream 0"
     );
-    match QueryResponse::decode_versioned(&frame.body, PROTOCOL_VERSION) {
+    match QueryResponse::decode(&frame.body) {
         Ok(QueryResponse::Error(QueryError::Malformed(_))) => {}
         other => panic!("expected Malformed on stream 0, got {other:?}"),
     }

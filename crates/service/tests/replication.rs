@@ -13,23 +13,17 @@
 //!    records.
 //! 3. Killing the follower at fuzzed apply points resumes from its
 //!    durable high-water mark (the seal markers in its own store).
-//! 4. v1/v2 connections asking for a subscription draw a typed error
-//!    and the connection survives — the old wire dialect is untouched.
 
 use siren_cluster::{Campaign, CampaignConfig, FleetConfig};
 use siren_collector::{Collector, PolicyMode};
 use siren_net::{
     FaultConfig, FaultProxy, Sender as _, SimChannel, SimConfig, UdpReceiver, UdpSender,
 };
-use siren_proto::{
-    decode_hello_ack, encode_hello, read_frame, write_frame, QueryError, QueryPlan, QueryRequest,
-    QueryResponse, RetryPolicy, Selection,
-};
-use siren_proto::{FrameError, SirenClient};
+use siren_proto::{FrameError, QueryPlan, QueryRequest, RetryPolicy, Selection, SirenClient};
 use siren_service::{Replicator, ReplicatorConfig, ServiceConfig, SirenDaemon};
 use siren_store::SegmentedOptions;
 use siren_wire::Message;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -134,7 +128,7 @@ fn oracle_plans() -> Vec<QueryPlan> {
 }
 
 /// Assert the follower's wire answers equal the leader's: plan streams
-/// row-for-row, one-shot replies byte-for-byte.
+/// row-for-row, single-frame replies byte-for-byte.
 fn assert_wire_identical(leader_addr: SocketAddr, follower_addr: SocketAddr) {
     let mut leader = SirenClient::connect(leader_addr).unwrap();
     let mut follower = SirenClient::connect(follower_addr).unwrap();
@@ -144,16 +138,16 @@ fn assert_wire_identical(leader_addr: SocketAddr, follower_addr: SocketAddr) {
         assert_eq!(from_leader, from_follower, "plan rows must match");
         assert!(!from_leader.is_empty(), "oracle plans must return rows");
     }
-    // One-shot replies must be byte-identical (Status is excluded: its
+    // Single-frame replies must be byte-identical (Status is excluded: its
     // live traffic counters legitimately differ between daemons).
     let usage = QueryRequest::LibraryUsage {
         selection: Selection::default(),
     };
-    let from_leader = leader.call(&usage).unwrap().encode_versioned(3);
-    let from_follower = follower.call(&usage).unwrap().encode_versioned(3);
+    let from_leader = leader.call(&usage).unwrap().encode();
+    let from_follower = follower.call(&usage).unwrap().encode();
     assert_eq!(
         from_leader, from_follower,
-        "one-shot reply bytes must match"
+        "single-frame reply bytes must match"
     );
 }
 
@@ -202,15 +196,25 @@ fn follower_converges_and_answers_match_the_leader() {
 fn follower_converges_through_severing_proxy() {
     let leader = leader_with_epochs("sever-leader", 3);
     let leader_addr = leader.query_addr().unwrap();
+    // Every epoch re-imports epoch 0's records, so each ships at least
+    // `epoch_bytes` (the record encodings alone; UDP loss during the
+    // seed ingest moves this, hence measured, not assumed).
+    let epoch_bytes: u64 = leader
+        .snapshot()
+        .epoch_records(0)
+        .iter()
+        .map(|r| r.encode().len() as u64)
+        .sum();
     let proxy = FaultProxy::spawn(
         leader_addr,
         FaultConfig {
             seed: 42,
-            // An epoch is ~400 KB on this wire. Some draws cut
-            // mid-epoch (no progress that exchange), some let one or
-            // more whole epochs through — progress interleaves with
-            // teardowns, which is the property under test.
-            cut_bytes: Some((50_000, 1_500_000)),
+            // Some draws cut mid-epoch (no progress that exchange),
+            // some let whole epochs through — progress interleaves with
+            // teardowns, which is the property under test. No budget
+            // reaches the four epochs' bytes, so the first subscription
+            // is always cut.
+            cut_bytes: Some((epoch_bytes / 8, 3 * epoch_bytes)),
             ..FaultConfig::default()
         },
     )
@@ -335,50 +339,6 @@ fn follower_crash_at_fuzzed_apply_points_resumes_from_high_water() {
         let follower = repl.shutdown();
         assert_eq!(follower.committed_epochs(), vec![0, 1, 2, 3]);
         assert_eq!(follower.snapshot().len(), leader.snapshot().len());
-    }
-}
-
-/// Property 4: v1/v2 connections issuing the v3-only subscription tag
-/// draw a typed error and the connection survives for valid requests —
-/// old clients observe byte-identical behavior everywhere else.
-#[test]
-fn old_protocol_versions_refuse_subscriptions_and_survive() {
-    let leader = leader_with_epochs("old-proto", 0);
-    let addr = leader.query_addr().unwrap();
-
-    for version in [1u16, 2] {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        write_frame(&mut stream, &encode_hello(version, version)).unwrap();
-        let ack = read_frame(&mut stream).unwrap();
-        assert_eq!(decode_hello_ack(&ack), Some(version));
-
-        // The subscription request draws the unknown-tag error…
-        let req = QueryRequest::SubscribeEpochs {
-            from_epoch: 0,
-            batch_rows: 0,
-        };
-        write_frame(&mut stream, &req.encode_versioned(version)).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        assert!(
-            matches!(
-                QueryResponse::decode_versioned(&payload, version),
-                Ok(QueryResponse::Error(QueryError::UnknownRequest(9)))
-            ),
-            "v{version} must refuse the subscription with a typed error"
-        );
-
-        // …and the connection then answers a valid request normally.
-        write_frame(&mut stream, &QueryRequest::Status.encode_versioned(version)).unwrap();
-        let payload = read_frame(&mut stream).unwrap();
-        match QueryResponse::decode_versioned(&payload, version) {
-            Ok(QueryResponse::Status(status)) => {
-                assert_eq!(status.protocol_version, version);
-            }
-            other => panic!("v{version} Status after refusal failed: {other:?}"),
-        }
     }
 }
 

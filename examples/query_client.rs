@@ -1,12 +1,12 @@
-//! Demonstrates the versioned TCP query protocol end to end: a daemon
-//! ingests one small campaign as an epoch, serves the query protocol on
-//! a loopback port, and a typed [`SirenClient`] asks it for status,
-//! per-job records, library usage, and fuzzy nearest neighbors —
-//! exactly what an analyst-side tool would do against a production
-//! deployment. The second half switches to the protocol-v2 surface:
-//! composable [`QueryPlan`]s answered as lazy [`RowStream`]s with
-//! server-side pagination, and it closes by stamping a paged plan with
-//! a trace id and rendering the span tree the server recorded for it.
+//! Demonstrates the TCP query protocol end to end: a daemon ingests one
+//! small campaign as an epoch, serves the query protocol on a loopback
+//! port, and a typed [`SirenClient`] asks it for status, per-job
+//! records, library usage, and fuzzy nearest neighbors — exactly what
+//! an analyst-side tool would do against a production deployment. The
+//! second half uses composable [`QueryPlan`]s directly, answered as lazy
+//! [`RowStream`]s with server-side pagination, stamps a paged plan with
+//! a trace id and renders the span tree the server recorded for it, and
+//! closes with multiplexed streams and a federated router.
 //!
 //! ```bash
 //! cargo run --release --example query_client
@@ -56,9 +56,9 @@ fn main() {
     // Everything below talks to the daemon over TCP only. Connect
     // under the default retry policy: a daemon still binding its port
     // (or restarting) costs a few jittered backoffs, not a failure.
+    let timeout = Duration::from_secs(5);
     let mut client =
-        SirenClient::connect_with_retry(addr, &RetryPolicy::default()).expect("connect");
-    println!("negotiated protocol v{}", client.negotiated_version());
+        SirenClient::connect_with_retry(addr, timeout, &RetryPolicy::default()).expect("connect");
 
     let status = client.status().expect("status");
     println!(
@@ -69,7 +69,8 @@ fn main() {
         status.quiet_period_fallbacks,
     );
 
-    // Per-job drill-down on whichever job the first record belongs to.
+    // Per-job drill-down on whichever job the first record belongs to
+    // (`by_job` and `neighbors` are sugar over the plans shown below).
     let snapshot = daemon.snapshot();
     let probe = &snapshot.get(0).expect("campaign produced records").record;
     let rows = client.by_job(probe.key.job_id).expect("by_job");
@@ -106,7 +107,7 @@ fn main() {
         }
     }
 
-    // ---- Protocol v2: composable plans, streamed answers. ----
+    // ---- Composable plans, streamed answers. ----
 
     // A record stream over an epoch slice, newest first, keys only,
     // delivered in bounded batches through a server-side cursor. The
@@ -121,7 +122,7 @@ fn main() {
         .batch_rows(4)
         .page_rows(4);
     let stream = client.query(plan).expect("open plan stream");
-    println!("v2 plan stream (job {}, newest first):", probe.key.job_id);
+    println!("plan stream (job {}, newest first):", probe.key.job_id);
     for row in stream {
         let row = row.expect("stream row").into_record().expect("record row");
         println!(
@@ -130,14 +131,13 @@ fn main() {
         );
     }
 
-    // The per-user usage table as a v2 plan — a question v1 could not
-    // ask without a wire break.
+    // The paper's per-user usage table as a plan.
     let usage_rows = client
         .query(QueryPlan::usage_table().limit(5))
         .expect("usage plan")
         .collect_rows()
         .expect("usage rows");
-    println!("top users (v2 usage-table plan):");
+    println!("top users (usage-table plan):");
     for row in usage_rows {
         let row = row.into_usage().expect("usage row");
         println!(
@@ -146,7 +146,7 @@ fn main() {
         );
     }
 
-    // The daemon's whole metric registry in one v2 request: ingest and
+    // The daemon's whole metric registry in one request: ingest and
     // commit spans, query latency histograms, cursor-table counters,
     // and the slow-query ring — everything the queries above recorded.
     let metrics = client.metrics().expect("metrics");
@@ -198,17 +198,17 @@ fn main() {
         .expect("ingest traces");
     print!("{}", trace_report(&ingest_trees));
 
-    // ---- Protocol v3: stream multiplexing on one connection. ----
+    // ---- Stream multiplexing on one connection. ----
     //
-    // A v3 connection tags every frame with a stream id, so one socket
-    // carries any number of interleaved cursor streams. Convert a
+    // Every frame carries a stream id, so one socket carries any number
+    // of interleaved cursor streams. Convert a
     // fresh connection into a MuxClient, open two plans at once, and
     // pull rows from each in turn — both are mid-flight on the same
     // TCP stream, with the server round-robining batches between them.
     // (set_accept_compressed(true) would additionally let the server
     // LZ-compress large reply frames.)
-    let mux = SirenClient::connect_with_retry(addr, &RetryPolicy::default())
-        .expect("connect v3")
+    let mux = SirenClient::connect_with_retry(addr, timeout, &RetryPolicy::default())
+        .expect("connect")
         .into_mux()
         .expect("multiplexed handle");
     let mut records = mux
@@ -223,7 +223,7 @@ fn main() {
         .query(QueryPlan::usage_table().limit(5))
         .expect("open usage stream");
     println!(
-        "v3 multiplex: records on stream {}, usage on stream {} (one connection)",
+        "multiplex: records on stream {}, usage on stream {} (one connection)",
         records.stream_id(),
         usage.stream_id()
     );

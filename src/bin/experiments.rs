@@ -97,7 +97,7 @@ fn main() {
         }
         if want("telemetry") {
             // Query-side telemetry: serve the campaign's records from a
-            // throwaway daemon and render the registry snapshot a v2
+            // throwaway daemon and render the registry snapshot a
             // `Metrics` request fetches over the wire.
             println!("{}", query_telemetry(records));
         }
@@ -303,7 +303,7 @@ fn overhead_comparison(scale: f64, seed: u64) -> String {
 }
 
 /// Import `records` into a throwaway daemon serving the TCP query
-/// protocol, drive one v2 `Metrics` round-trip, and render the full
+/// protocol, drive one `Metrics` round-trip, and render the full
 /// registry snapshot an operator would read off a live deployment —
 /// commit/publish spans, query traffic, cursor table, slow queries.
 fn query_telemetry(records: &[siren_core::consolidate::ProcessRecord]) -> String {
