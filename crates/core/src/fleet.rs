@@ -220,7 +220,7 @@ pub struct EpochFleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Deployment, DeploymentConfig, IngestMode, TransportKind};
+    use crate::pipeline::{Deployment, DeploymentConfig, TransportKind};
     use siren_cluster::CampaignConfig;
 
     fn tiny_fleet(clusters: usize, shards: usize) -> FleetDeploymentConfig {
@@ -239,17 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn fleet_equals_union_of_serial_cluster_runs() {
+    fn fleet_equals_union_of_solo_cluster_runs() {
         let cfg = tiny_fleet(2, 3);
         let fleet_records = FleetDeployment::new(cfg.clone()).run().records;
 
-        // Reference: each cluster alone, through the serial pipeline.
+        // Reference: each cluster alone, through a default 1-shard
+        // deployment.
         let mut expected: Vec<_> = (0..cfg.fleet.clusters)
             .flat_map(|k| {
                 let dc = DeploymentConfig {
                     campaign: cfg.fleet.campaign_config(k),
                     transport: TransportKind::Simulated,
-                    ingest: IngestMode::Serial,
                     ..DeploymentConfig::default()
                 };
                 Deployment::new(dc).run().records
@@ -283,14 +283,13 @@ mod tests {
             .iter()
             .all(|e| e.epoch_tag_mismatches == 0 && e.senders_closed == 1));
 
-        // Each epoch holds exactly its cluster's serial-pipeline records.
+        // Each epoch holds exactly its cluster's solo-deployment records.
         let query = daemon.snapshot();
         assert_eq!(query.epochs(), vec![0, 1]);
         for k in 0..2 {
             let dc = DeploymentConfig {
                 campaign: cfg.fleet.campaign_config(k),
                 transport: TransportKind::Simulated,
-                ingest: IngestMode::Serial,
                 ..DeploymentConfig::default()
             };
             let solo = Deployment::new(dc).run().records;

@@ -31,7 +31,7 @@ pub mod pipeline;
 pub mod report;
 
 pub use fleet::{EpochFleetResult, FleetDeployment, FleetDeploymentConfig, FleetResult};
-pub use pipeline::{Deployment, DeploymentConfig, DeploymentResult, IngestMode, TransportKind};
+pub use pipeline::{Deployment, DeploymentConfig, DeploymentResult, TransportKind};
 
 // Re-export the component crates under one roof so downstream users need
 // a single dependency.

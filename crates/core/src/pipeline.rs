@@ -2,16 +2,12 @@
 
 use siren_cluster::{Campaign, CampaignConfig, CampaignStats};
 use siren_collector::{Collector, CollectorStats, PolicyMode};
-use siren_consolidate::{
-    consolidate, integrity_report, ConsolidateStats, IntegrityReport, ProcessRecord,
-};
-use siren_db::{Database, ReplayStats};
-use siren_ingest::{IngestConfig, IngestMetrics, IngestService, ShardStats};
-use siren_net::{ShardedUdpSender, SimChannel, SimConfig, UdpReceiver, UdpReceiverPool, UdpSender};
+use siren_consolidate::{integrity_report, ConsolidateStats, IntegrityReport, ProcessRecord};
+use siren_db::ReplayStats;
+use siren_ingest::{IngestConfig, IngestMetrics, IngestResult, IngestService, ShardStats};
+use siren_net::{ShardedUdpSender, SimChannel, SimConfig, UdpReceiver, UdpReceiverPool};
 use siren_obs::{MetricsSnapshot, Registry};
-use siren_wire::{
-    parse_sentinel, CompleteMessage, Message, MessageType, Reassembler, DEFAULT_MAX_DATAGRAM,
-};
+use siren_wire::{parse_sentinel, Message, MessageType, DEFAULT_MAX_DATAGRAM};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -27,23 +23,6 @@ pub enum TransportKind {
     UdpLoopback,
 }
 
-/// How the receiver tier turns messages into consolidated records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestMode {
-    /// One reassembler + one database on the caller's thread (the
-    /// paper's single receiver process).
-    Serial,
-    /// The sharded ingest service: `n` worker threads, each owning a
-    /// reassembler and a database partition, with parallel consolidation
-    /// and a deterministic cross-shard merge. Output is identical to
-    /// [`IngestMode::Serial`], record for record.
-    Sharded(usize),
-}
-
-/// Batch size for the serial path's batched inserts (the sharded path
-/// takes its own from [`IngestConfig`]).
-const SERIAL_BATCH: usize = 256;
-
 /// Full deployment configuration.
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
@@ -55,16 +34,18 @@ pub struct DeploymentConfig {
     pub policy: PolicyMode,
     /// Transport selection.
     pub transport: TransportKind,
-    /// Receiver-tier selection.
-    pub ingest: IngestMode,
-    /// Clamp [`IngestMode::Sharded`] worker counts to the machine's
-    /// `available_parallelism` (see [`IngestConfig::clamp_shards`]).
-    /// Disable only for experiments that need an exact shard count.
+    /// Ingest shard workers, each owning a reassembler and a database
+    /// partition (see [`IngestService`]). The default, 1, is the paper's
+    /// single receiver process.
+    pub shards: usize,
+    /// Clamp `shards` to the machine's `available_parallelism` (see
+    /// [`IngestConfig::clamp_shards`]). Disable only for experiments
+    /// that need an exact shard count.
     pub ingest_clamp: bool,
     /// Datagram size limit.
     pub max_datagram: usize,
-    /// Optional WAL path for a persistent database. The sharded ingest
-    /// tier appends `.shard<i>` per partition.
+    /// Optional WAL base path for persistent database partitions: shard
+    /// `i` persists to `<db_path>.shard<i>`.
     pub db_path: Option<PathBuf>,
     /// How long a UDP drain waits in silence before concluding that
     /// every copy of the end-of-campaign sentinel was lost and giving
@@ -81,7 +62,7 @@ impl Default for DeploymentConfig {
             channel: SimConfig::perfect(),
             policy: PolicyMode::Selective,
             transport: TransportKind::Simulated,
-            ingest: IngestMode::Serial,
+            shards: 1,
             ingest_clamp: true,
             max_datagram: DEFAULT_MAX_DATAGRAM,
             db_path: None,
@@ -118,7 +99,7 @@ pub struct DeploymentResult {
     pub records: Vec<ProcessRecord>,
     /// Missing-field integrity report.
     pub integrity: IntegrityReport,
-    /// Per-shard ingest telemetry (empty under [`IngestMode::Serial`]).
+    /// Per-shard ingest telemetry, one entry per shard worker.
     pub shard_stats: Vec<ShardStats>,
     /// WAL replay on database open (all partitions): what a persistent
     /// deployment recovered from a previous run, including torn-tail
@@ -131,14 +112,39 @@ pub struct DeploymentResult {
     pub metrics: MetricsSnapshot,
 }
 
-/// Stamp the transport-level counts into `registry` and snapshot it —
-/// every deployment path ends here, so the telemetry always carries the
-/// `net.*` series alongside whatever the ingest tier recorded.
-fn seal_metrics(registry: &Registry, sent: u64, delivered: u64, dropped: u64) -> MetricsSnapshot {
+/// Assemble a run's result: stamp the transport-level counts into
+/// `registry` beside the `ingest.*` series the shard workers recorded,
+/// snapshot it, and total the per-shard telemetry. Every deployment path
+/// ends here.
+fn seal(
+    registry: &Registry,
+    campaign_stats: CampaignStats,
+    collector_stats: CollectorStats,
+    delivered: u64,
+    dropped: u64,
+    ingested: IngestResult,
+) -> DeploymentResult {
+    let sent = collector_stats.datagrams_sent;
     registry.counter("net.datagrams_sent").add(sent);
     registry.counter("net.datagrams_delivered").add(delivered);
     registry.counter("net.datagrams_dropped").add(dropped);
-    registry.snapshot()
+    DeploymentResult {
+        campaign_stats,
+        datagrams_sent: sent,
+        collector_stats,
+        datagrams_dropped: dropped,
+        datagrams_delivered: delivered,
+        reassembly_complete: ingested.reassembly_complete(),
+        reassembly_incomplete: ingested.reassembly_incomplete(),
+        reassembly_duplicates: ingested.duplicates(),
+        db_rows: ingested.db_rows(),
+        replay: ingested.replay_stats(),
+        integrity: integrity_report(&ingested.records),
+        consolidate_stats: ingested.stats,
+        records: ingested.records,
+        shard_stats: ingested.shard_stats,
+        metrics: registry.snapshot(),
+    }
 }
 
 /// A configured deployment, ready to run.
@@ -154,177 +160,20 @@ impl Deployment {
 
     /// Run the full pipeline and consolidate the results.
     pub fn run(self) -> DeploymentResult {
-        match (self.cfg.transport, self.cfg.ingest) {
-            (TransportKind::Simulated, _) => self.run_simulated(),
-            (TransportKind::UdpLoopback, IngestMode::Serial) => self.run_udp_serial(),
-            (TransportKind::UdpLoopback, IngestMode::Sharded(shards)) => {
-                self.run_udp_sharded(shards)
-            }
+        match self.cfg.transport {
+            TransportKind::Simulated => self.run_simulated(),
+            TransportKind::UdpLoopback => self.run_udp(),
         }
     }
 
-    /// Offline ingest of an already-collected message vector, through
-    /// whichever ingest mode the config selects.
-    fn finish(
-        cfg: &DeploymentConfig,
-        campaign_stats: CampaignStats,
-        collector_stats: CollectorStats,
-        messages: Vec<Message>,
-        datagrams_dropped: u64,
-    ) -> DeploymentResult {
-        match cfg.ingest {
-            IngestMode::Serial => Self::finish_serial(
-                cfg,
-                campaign_stats,
-                collector_stats,
-                messages,
-                datagrams_dropped,
-            ),
-            IngestMode::Sharded(shards) => Self::finish_sharded(
-                cfg,
-                campaign_stats,
-                collector_stats,
-                messages,
-                datagrams_dropped,
-                shards,
-            ),
-        }
-    }
-
-    fn finish_serial(
-        cfg: &DeploymentConfig,
-        campaign_stats: CampaignStats,
-        collector_stats: CollectorStats,
-        messages: Vec<Message>,
-        datagrams_dropped: u64,
-    ) -> DeploymentResult {
-        let registry = Registry::new();
-        let metrics = IngestMetrics::register(&registry);
-        let mut reasm = Reassembler::new();
-        let (db, replay) = match &cfg.db_path {
-            Some(path) => Database::open(path).expect("open database WAL"),
-            None => (Database::in_memory(), ReplayStats::default()),
-        };
-        metrics.replayed_records.add(replay.records);
-        metrics.replay_tail_bytes.add(replay.corrupt_tail_bytes);
-
-        // The serial path records the same `ingest.*` span points as the
-        // sharded workers, so both modes render identically.
-        let insert = |batch: Vec<CompleteMessage>| {
-            let rows = batch.len() as u64;
-            let start = std::time::Instant::now();
-            db.insert_message_batch(batch)
-                .expect("database batch insert");
-            metrics.batch_insert_ns.record_duration(start.elapsed());
-            metrics.batches.inc();
-            metrics.rows_stored.add(rows);
-        };
-        let mut delivered = 0u64;
-        let mut complete = 0u64;
-        let mut batch: Vec<CompleteMessage> = Vec::with_capacity(SERIAL_BATCH);
-        for msg in messages {
-            if msg.header.mtype == MessageType::End {
-                continue; // transport control, not data
-            }
-            delivered += 1;
-            metrics.messages_received.inc();
-            let push_start = std::time::Instant::now();
-            let done = reasm.push(msg);
-            metrics.reassembly_ns.record_duration(push_start.elapsed());
-            if let Some(done) = done {
-                complete += 1;
-                metrics.reassembled.inc();
-                batch.push(done);
-                if batch.len() >= SERIAL_BATCH {
-                    insert(std::mem::take(&mut batch));
-                }
-            }
-        }
-        let incomplete = reasm.drain_incomplete();
-        let duplicates = reasm.duplicates;
-        metrics.incomplete.add(incomplete.len() as u64);
-        metrics.duplicates.add(duplicates);
-        metrics.inconsistent.add(reasm.inconsistent);
-        insert(batch);
-        db.flush().expect("database flush");
-
-        let consolidated = consolidate(&db);
-        let integrity = integrity_report(&consolidated.records);
-        let metrics = seal_metrics(
-            &registry,
-            collector_stats.datagrams_sent,
-            delivered,
-            datagrams_dropped,
-        );
-
-        DeploymentResult {
-            campaign_stats,
-            datagrams_sent: collector_stats.datagrams_sent,
-            collector_stats,
-            datagrams_dropped,
-            datagrams_delivered: delivered,
-            reassembly_complete: complete,
-            reassembly_incomplete: incomplete.len() as u64,
-            reassembly_duplicates: duplicates,
-            db_rows: db.len() as u64,
-            consolidate_stats: consolidated.stats,
-            records: consolidated.records,
-            integrity,
-            shard_stats: Vec::new(),
-            replay,
-            metrics,
-        }
-    }
-
-    fn finish_sharded(
-        cfg: &DeploymentConfig,
-        campaign_stats: CampaignStats,
-        collector_stats: CollectorStats,
-        messages: Vec<Message>,
-        datagrams_dropped: u64,
-        shards: usize,
-    ) -> DeploymentResult {
-        let registry = Registry::new();
-        let mut service = IngestService::spawn(IngestConfig {
-            shards,
-            clamp_shards: cfg.ingest_clamp,
-            wal_base: cfg.db_path.clone(),
-            metrics: IngestMetrics::register(&registry),
+    /// The ingest tier this deployment runs, recording into `registry`.
+    fn ingest_config(&self, registry: &Registry) -> IngestConfig {
+        IngestConfig {
+            shards: self.cfg.shards,
+            clamp_shards: self.cfg.ingest_clamp,
+            wal_base: self.cfg.db_path.clone(),
+            metrics: IngestMetrics::register(registry),
             ..IngestConfig::default()
-        })
-        .expect("spawn ingest service");
-        let mut delivered = 0u64;
-        for msg in messages {
-            if msg.header.mtype != MessageType::End {
-                delivered += 1;
-            }
-            service.push(msg);
-        }
-        let ingested = service.finish().expect("ingest finish");
-        let integrity = integrity_report(&ingested.records);
-        let metrics = seal_metrics(
-            &registry,
-            collector_stats.datagrams_sent,
-            delivered,
-            datagrams_dropped,
-        );
-
-        DeploymentResult {
-            campaign_stats,
-            datagrams_sent: collector_stats.datagrams_sent,
-            collector_stats,
-            datagrams_dropped,
-            datagrams_delivered: delivered,
-            reassembly_complete: ingested.reassembly_complete(),
-            reassembly_incomplete: ingested.reassembly_incomplete(),
-            reassembly_duplicates: ingested.duplicates(),
-            db_rows: ingested.db_rows(),
-            consolidate_stats: ingested.stats,
-            replay: ingested.replay_stats(),
-            records: ingested.records,
-            integrity,
-            shard_stats: ingested.shard_stats,
-            metrics,
         }
     }
 
@@ -341,75 +190,34 @@ impl Deployment {
         assert_eq!(decode_errors, 0, "sim channel never corrupts datagrams");
         let dropped = rx.stats().dropped.load(Ordering::Relaxed);
 
-        Self::finish(
-            &self.cfg,
+        // Offline ingest of the drained message vector.
+        let registry = Registry::new();
+        let mut service =
+            IngestService::spawn(self.ingest_config(&registry)).expect("spawn ingest service");
+        let mut delivered = 0u64;
+        for msg in messages {
+            if msg.header.mtype != MessageType::End {
+                delivered += 1;
+            }
+            service.push(msg);
+        }
+        let ingested = service.finish().expect("ingest finish");
+        seal(
+            &registry,
             campaign_stats,
             collector_stats,
-            messages,
+            delivered,
             dropped,
+            ingested,
         )
     }
 
-    fn run_udp_serial(self) -> DeploymentResult {
-        let receiver = UdpReceiver::spawn(65_536).expect("bind loopback receiver");
-        let sender = UdpSender::connect(receiver.local_addr()).expect("sender socket");
-        let quiet_period = self.cfg.quiet_period;
-
-        // Drain concurrently with the campaign: the receiver's bounded
-        // channel holds 65k messages, and a campaign can emit more than
-        // that — draining only afterwards would shed the tail of the
-        // stream, including the END sentinel sent last.
-        let drain = std::thread::Builder::new()
-            .name("siren-drain".into())
-            .spawn(move || {
-                let mut messages = Vec::new();
-                let sentinel =
-                    drain_each_until_sentinel(&receiver, quiet_period, |m| messages.push(m));
-                receiver.stop();
-                (messages, sentinel)
-            })
-            .expect("spawn drain thread");
-
-        let campaign = Campaign::new(self.cfg.campaign.clone());
-        let mut collector =
-            Collector::new(&sender, self.cfg.policy).with_max_datagram(self.cfg.max_datagram);
-        let campaign_stats = campaign.run(|ctx| collector.observe(&ctx));
-        // Announce end of campaign so the drain stops deterministically
-        // on the sentinel instead of by timeout.
-        collector.end_campaign();
-        let collector_stats = collector.stats().clone();
-
-        let (messages, sentinel) = drain.join().expect("drain thread");
-        // The sentinel carries the sender's own datagram count — the
-        // protocol-level way for a receiver to measure loss without
-        // sharing memory with the sender. Fall back to the in-process
-        // collector stats only if every sentinel copy was lost.
-        let sent_claimed = sentinel
-            .map(|(_, sent)| sent)
-            .unwrap_or(collector_stats.datagrams_sent);
-        let dropped = sent_claimed.saturating_sub(messages.len() as u64);
-
-        Self::finish(
-            &self.cfg,
-            campaign_stats,
-            collector_stats,
-            messages,
-            dropped,
-        )
-    }
-
-    fn run_udp_sharded(self, shards: usize) -> DeploymentResult {
+    fn run_udp(self) -> DeploymentResult {
         // The receiver pool is one socket per worker, so the sender,
         // the pool, and the ingest service must all agree on the
         // *effective* (possibly hardware-clamped) shard count.
         let registry = Registry::new();
-        let ingest_cfg = IngestConfig {
-            shards,
-            clamp_shards: self.cfg.ingest_clamp,
-            wal_base: self.cfg.db_path.clone(),
-            metrics: IngestMetrics::register(&registry),
-            ..IngestConfig::default()
-        };
+        let ingest_cfg = self.ingest_config(&registry);
         let shards = ingest_cfg.effective_shards();
         let quiet_period = self.cfg.quiet_period;
         let pool = UdpReceiverPool::spawn(shards, 65_536).expect("bind loopback receiver pool");
@@ -417,7 +225,8 @@ impl Deployment {
         let service = IngestService::spawn(ingest_cfg).expect("spawn ingest service");
 
         // One drain thread per receiver socket, feeding its shard's
-        // worker directly — the live (streaming) ingest topology.
+        // worker directly while the campaign is still emitting — the
+        // live (streaming) ingest topology.
         type DrainOutcome = (u64, Option<(u32, u64)>);
         let drains: Vec<std::thread::JoinHandle<DrainOutcome>> = pool
             .into_receivers()
@@ -444,7 +253,8 @@ impl Deployment {
         let mut collector =
             Collector::new(&sender, self.cfg.policy).with_max_datagram(self.cfg.max_datagram);
         let campaign_stats = campaign.run(|ctx| collector.observe(&ctx));
-        // The sentinel broadcast stops every drain thread.
+        // The sentinel broadcast stops every drain thread
+        // deterministically instead of by timeout.
         collector.end_campaign();
         let collector_stats = collector.stats().clone();
 
@@ -453,39 +263,25 @@ impl Deployment {
             .map(|d| d.join().expect("drain thread"))
             .collect();
         let delivered: u64 = outcomes.iter().map(|(n, _)| n).sum();
-        // Every sentinel copy carries the same sender-side total; any one
-        // of them is the authoritative wire-level count (see run_udp_serial).
+        // The sentinel carries the sender's own datagram count — the
+        // protocol-level way for a receiver to measure loss without
+        // sharing memory with the sender. Every copy carries the same
+        // total; fall back to the in-process collector stats only if
+        // every copy was lost.
         let sent_claimed = outcomes
             .iter()
             .find_map(|(_, sentinel)| sentinel.map(|(_, sent)| sent))
             .unwrap_or(collector_stats.datagrams_sent);
         let ingested = service.finish().expect("ingest finish");
-        let integrity = integrity_report(&ingested.records);
         let dropped = sent_claimed.saturating_sub(delivered);
-        let metrics = seal_metrics(
+        seal(
             &registry,
-            collector_stats.datagrams_sent,
+            campaign_stats,
+            collector_stats,
             delivered,
             dropped,
-        );
-
-        DeploymentResult {
-            campaign_stats,
-            datagrams_sent: collector_stats.datagrams_sent,
-            collector_stats,
-            datagrams_dropped: dropped,
-            datagrams_delivered: delivered,
-            reassembly_complete: ingested.reassembly_complete(),
-            reassembly_incomplete: ingested.reassembly_incomplete(),
-            reassembly_duplicates: ingested.duplicates(),
-            db_rows: ingested.db_rows(),
-            consolidate_stats: ingested.stats,
-            replay: ingested.replay_stats(),
-            records: ingested.records,
-            integrity,
-            shard_stats: ingested.shard_stats,
-            metrics,
-        }
+            ingested,
+        )
     }
 }
 
@@ -561,30 +357,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ingest_equals_serial_on_lossless_channel() {
-        let serial = Deployment::new(tiny(TransportKind::Simulated)).run();
-        for shards in [1usize, 2, 8] {
-            // Unclamped: the multi-shard merge is exercised even on a
-            // single-core machine.
-            let mut cfg = tiny(TransportKind::Simulated);
-            cfg.ingest = IngestMode::Sharded(shards);
-            cfg.ingest_clamp = false;
-            let sharded = Deployment::new(cfg).run();
-            assert_eq!(sharded.records, serial.records, "shards={shards}");
-            assert_eq!(sharded.db_rows, serial.db_rows);
-            assert_eq!(sharded.consolidate_stats, serial.consolidate_stats);
-            assert_eq!(sharded.shard_stats.len(), shards);
-        }
-    }
-
-    #[test]
     fn default_sharded_deployment_clamps_to_hardware() {
         let cores = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         let requested = cores + 5;
         let mut cfg = tiny(TransportKind::Simulated);
-        cfg.ingest = IngestMode::Sharded(requested);
+        cfg.shards = requested;
         let r = Deployment::new(cfg).run();
         assert_eq!(r.shard_stats.len(), cores, "oversharding must clamp");
         assert!(r
@@ -619,7 +398,12 @@ mod tests {
 
     #[test]
     fn udp_loopback_pipeline_works() {
-        let r = Deployment::new(tiny(TransportKind::UdpLoopback)).run();
+        // Two unclamped shards: one receiver socket and drain thread per
+        // worker, even on a single-core machine.
+        let mut cfg = tiny(TransportKind::UdpLoopback);
+        cfg.shards = 2;
+        cfg.ingest_clamp = false;
+        let r = Deployment::new(cfg).run();
         // Loopback may drop under burst, but the pipeline must deliver the
         // overwhelming majority and consolidate cleanly.
         assert!(r.datagrams_delivered > 0);
@@ -629,25 +413,8 @@ mod tests {
             "loopback delivered only {delivered_frac}"
         );
         assert!(!r.records.is_empty());
-    }
-
-    #[test]
-    fn udp_loopback_sharded_pipeline_works() {
-        let mut cfg = tiny(TransportKind::UdpLoopback);
-        cfg.ingest = IngestMode::Sharded(2);
-        cfg.ingest_clamp = false;
-        let r = Deployment::new(cfg).run();
-        assert!(r.datagrams_delivered > 0);
-        let delivered_frac = r.datagrams_delivered as f64 / r.datagrams_sent as f64;
-        assert!(
-            delivered_frac > 0.5,
-            "loopback delivered only {delivered_frac}"
-        );
-        assert!(!r.records.is_empty());
         assert_eq!(r.shard_stats.len(), 2);
-        // Job-keyed routing: sharded output matches a serial re-ingest of
-        // the same campaign when nothing is lost; under loopback loss we
-        // can only assert structural sanity.
+        // Under loopback loss only structural sanity can be asserted.
         assert_eq!(r.records.len() as u64, r.consolidate_stats.processes);
     }
 
@@ -657,7 +424,7 @@ mod tests {
         // deliver every payload message and give up after the configured
         // quiet period with no sentinel claim.
         let receiver = UdpReceiver::spawn(1024).expect("bind receiver");
-        let sender = UdpSender::connect(receiver.local_addr()).expect("sender");
+        let sender = siren_net::UdpSender::connect(receiver.local_addr()).expect("sender");
         use siren_net::Sender as _;
         for i in 0..20u64 {
             let msg = siren_wire::chunk_message(
@@ -698,57 +465,43 @@ mod tests {
 
     #[test]
     fn persistent_database_round_trips() {
+        use siren_db::Database;
+
         let dir = std::env::temp_dir().join(format!("siren-core-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pipeline.sirendb");
-        let _ = std::fs::remove_file(&path);
+        let base = dir.join("pipeline.sirendb");
+        let partition = |i: usize| dir.join(format!("pipeline.sirendb.shard{i}"));
+        for i in 0..3 {
+            let _ = std::fs::remove_file(partition(i));
+        }
 
         let mut cfg = tiny(TransportKind::Simulated);
-        cfg.db_path = Some(path.clone());
+        cfg.shards = 3;
+        cfg.ingest_clamp = false;
+        cfg.db_path = Some(base);
         let r = Deployment::new(cfg.clone()).run();
         assert!(r.db_rows > 0);
         assert_eq!(
             r.replay,
             ReplayStats::default(),
-            "fresh WAL replays nothing"
+            "fresh WALs replay nothing"
         );
 
-        let (db, stats) = Database::open(&path).unwrap();
-        assert_eq!(stats.records, r.db_rows);
-        assert_eq!(db.len() as u64, r.db_rows);
-        drop(db);
-
-        // A second deployment over the same WAL surfaces the replay.
-        let first_rows = r.db_rows;
-        let r2 = Deployment::new(cfg).run();
-        assert_eq!(r2.replay.records, first_rows);
-        assert_eq!(r2.replay.corrupt_tail_bytes, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sharded_persistent_partitions_round_trip() {
-        let dir = std::env::temp_dir().join(format!("siren-core-sh-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("sharded.sirendb");
+        let mut stored = 0u64;
         for i in 0..3 {
-            let _ = std::fs::remove_file(dir.join(format!("sharded.sirendb.shard{i}")));
-        }
-
-        let mut cfg = tiny(TransportKind::Simulated);
-        cfg.ingest = IngestMode::Sharded(3);
-        cfg.db_path = Some(base.clone());
-        let r = Deployment::new(cfg).run();
-        assert!(r.db_rows > 0);
-
-        let mut replayed = 0u64;
-        for i in 0..3 {
-            let path = dir.join(format!("sharded.sirendb.shard{i}"));
-            let (db, stats) = Database::open(&path).unwrap();
+            let (db, stats) = Database::open(&partition(i)).unwrap();
             assert_eq!(stats.corrupt_tail_bytes, 0);
-            replayed += db.len() as u64;
-            std::fs::remove_file(&path).unwrap();
+            assert_eq!(stats.records, db.len() as u64);
+            stored += db.len() as u64;
         }
-        assert_eq!(replayed, r.db_rows);
+        assert_eq!(stored, r.db_rows);
+
+        // A second deployment over the same WALs surfaces the replay.
+        let r2 = Deployment::new(cfg).run();
+        assert_eq!(r2.replay.records, r.db_rows);
+        assert_eq!(r2.replay.corrupt_tail_bytes, 0);
+        for i in 0..3 {
+            std::fs::remove_file(partition(i)).unwrap();
+        }
     }
 }

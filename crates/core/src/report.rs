@@ -335,13 +335,13 @@ pub fn full_report(records: &[ProcessRecord]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Deployment, DeploymentConfig, IngestMode};
+    use crate::{Deployment, DeploymentConfig};
 
     #[test]
     fn telemetry_report_covers_deployment_series() {
         let mut cfg = DeploymentConfig::default();
         cfg.campaign.scale = 0.001;
-        cfg.ingest = IngestMode::Sharded(2);
+        cfg.shards = 2;
         cfg.ingest_clamp = false;
         let result = Deployment::new(cfg).run();
         let report = super::telemetry_report(&result.metrics);
@@ -349,24 +349,16 @@ mod tests {
         assert!(report.contains("messages received"));
         assert!(report.contains("rows stored"));
         assert!(report.contains("replay: 0 records recovered"));
+        assert!(report.contains("reassembly: p50="));
         assert!(report.contains("batch insert: p50="));
+        assert_eq!(
+            result.metrics.counter("ingest.rows_stored"),
+            result.db_rows,
+            "registry and result must agree"
+        );
         // A deployment snapshot has no daemon-side series to render.
         assert!(!report.contains("query:"));
         assert!(!report.contains("cursors:"));
-
-        // Serial and sharded render the same sections from the same
-        // series names.
-        let mut serial_cfg = DeploymentConfig::default();
-        serial_cfg.campaign.scale = 0.001;
-        let serial = Deployment::new(serial_cfg).run();
-        let serial_report = super::telemetry_report(&serial.metrics);
-        assert!(serial_report.contains("messages received"));
-        assert!(serial_report.contains("reassembly: p50="));
-        assert_eq!(
-            serial.metrics.counter("ingest.rows_stored"),
-            serial.db_rows,
-            "registry and result must agree"
-        );
     }
 
     #[test]

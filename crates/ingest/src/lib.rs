@@ -2,10 +2,9 @@
 //!
 //! The paper's collection side is fleet-scale: thousands of nodes emit
 //! UDP datagrams concurrently, and the receiver tier must keep up with
-//! whatever the network delivers. The seed reproduction drained every
-//! message through one `Reassembler` into one `Database` on the caller's
-//! thread; this crate turns ingestion into a real subsystem that scales
-//! with cores:
+//! whatever the network delivers. This crate is the repository's one
+//! receiver: a subsystem that scales with cores, and with one shard is
+//! the paper's single receiver process:
 //!
 //! ```text
 //!                      ┌──────────────────────────────────────────────┐
@@ -27,13 +26,14 @@
 //!   receiver-side load shedding the UDP tier does.
 //! * [`IngestService::finish`] consolidates every shard in parallel and
 //!   merges the per-shard outputs into one order-stable record vector
-//!   that is **identical, record for record, to the serial path** (the
+//!   that is **identical, record for record, to one reassembler, one
+//!   database and one `consolidate` over the same messages** (the
 //!   cross-shard merge uses the same total order consolidation sorts by,
 //!   and job-keyed routing makes shard outputs disjoint in that order).
 //!
-//! The property tests in the umbrella crate assert serial/sharded
-//! equality for shard counts 1, 2, and 8, with and without injected
-//! datagram loss.
+//! `tests/properties.rs` in the umbrella crate asserts that equality
+//! against a test-side reference fold for shard counts 1, 2, and 8,
+//! with and without injected datagram loss.
 
 pub mod metrics;
 pub mod service;

@@ -4,7 +4,7 @@
 use crate::metrics::IngestMetrics;
 use crossbeam::channel::{bounded, Receiver, Sender as ChanSender, TrySendError};
 use siren_consolidate::{consolidate, record_order, ConsolidateStats, ProcessRecord};
-use siren_db::{Database, ReplayStats, SegmentedOptions};
+use siren_db::{Database, ReplayStats};
 use siren_obs::{Counter, SpanBuffer, SpanId, TraceId};
 use siren_wire::ShardRouter;
 use siren_wire::{CompleteMessage, Message, MessageType, Reassembler, WireError};
@@ -35,9 +35,9 @@ pub struct IngestConfig {
     pub shards: usize,
     /// Clamp the worker count to `available_parallelism` (default on).
     /// Shard workers are OS threads; asking for more of them than the
-    /// machine has cores only buys lock and scheduler contention (the
-    /// 1-core bench container measured sharded ≈ 0.8× serial from
-    /// exactly this). The clamp is recorded in
+    /// machine has cores only buys lock and scheduler contention (on
+    /// one core, several shards measured ≈ 0.8× the throughput of a
+    /// single receiver from exactly this). The clamp is recorded in
     /// [`ShardStats::shards_requested`]. Disable for tests that need an
     /// exact shard count regardless of hardware.
     pub clamp_shards: bool,
@@ -45,13 +45,9 @@ pub struct IngestConfig {
     pub channel_capacity: usize,
     /// Completed messages buffered per shard before a batched insert.
     pub batch_size: usize,
-    /// When set, shard `i` persists to `<wal_base>.shard<i>` (one flat
-    /// WAL, or a segmented directory store when [`Self::segmented`] is
-    /// set); otherwise partitions are in-memory.
+    /// When set, shard `i` persists to one flat WAL at
+    /// `<wal_base>.shard<i>`; otherwise partitions are in-memory.
     pub wal_base: Option<PathBuf>,
-    /// Use a rotating/compacting segmented store per shard partition
-    /// instead of one flat WAL. Only meaningful with `wal_base`.
-    pub segmented: Option<SegmentedOptions>,
     /// Metric handles the shard workers record into. The default is a
     /// detached bundle (recorded but visible to nobody); a daemon passes
     /// [`IngestMetrics::register`]ed handles so `ingest.*` series show up
@@ -73,7 +69,6 @@ impl Default for IngestConfig {
             channel_capacity: 4096,
             batch_size: 256,
             wal_base: None,
-            segmented: None,
             metrics: IngestMetrics::detached(),
             trace: None,
         }
@@ -258,19 +253,7 @@ impl IngestService {
             let (tx, rx) = bounded::<Message>(cfg.channel_capacity.max(1));
             let backpressure = Arc::new(Counter::new());
             let (db, replay) = match cfg.shard_wal_path(shard) {
-                Some(path) => match cfg.segmented {
-                    Some(opts) => {
-                        let (db, recovery) = Database::open_segmented(&path, opts)?;
-                        (
-                            db,
-                            ReplayStats {
-                                records: recovery.records_loaded,
-                                corrupt_tail_bytes: recovery.wal_tail_bytes_discarded,
-                            },
-                        )
-                    }
-                    None => Database::open(&path)?,
-                },
+                Some(path) => Database::open(&path)?,
                 None => (Database::in_memory(), ReplayStats::default()),
             };
             let batch_size = cfg.batch_size.max(1);
@@ -327,7 +310,7 @@ impl IngestService {
 
     /// Close the intake, wait for all shards to drain, consolidate each
     /// partition in parallel (inside the worker threads), and merge the
-    /// shard outputs into the serial path's exact record order.
+    /// shard outputs into consolidation's canonical record order.
     ///
     /// Every [`IngestProducer`] and [`ShardHandle`] cloned from this
     /// service must be dropped before calling `finish`, or the shard
@@ -377,7 +360,9 @@ impl IngestService {
 /// Everything the ingest tier produces for one campaign.
 #[derive(Debug)]
 pub struct IngestResult {
-    /// Consolidated records in the serial path's deterministic order.
+    /// Consolidated records in consolidation's canonical order
+    /// ([`record_order`]) — the order one reassembler, one database and
+    /// one `consolidate` over the same messages would produce.
     pub records: Vec<ProcessRecord>,
     /// Summed consolidation statistics.
     pub stats: ConsolidateStats,
@@ -766,41 +751,6 @@ mod tests {
         for i in 0..2 {
             std::fs::remove_file(dir.join(format!("svc.sirendb.shard{i}"))).unwrap();
         }
-    }
-
-    #[test]
-    fn segmented_shard_partitions_persist_and_recover() {
-        let dir = std::env::temp_dir().join(format!("siren-ingest-seg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("seg.sirendb");
-        let cfg = || IngestConfig {
-            wal_base: Some(base.clone()),
-            segmented: Some(siren_db::SegmentedOptions {
-                rotate_bytes: 4096,
-                compact_min_files: 2,
-                background_compaction: false,
-            }),
-            ..IngestConfig::with_shards_unclamped(2)
-        };
-
-        let mut svc = IngestService::spawn(cfg()).unwrap();
-        for job in 0..40u64 {
-            for m in meta(job, job as u32) {
-                svc.push(m);
-            }
-        }
-        let first = svc.finish().unwrap();
-        assert_eq!(first.db_rows(), 40);
-
-        let svc = IngestService::spawn(cfg()).unwrap();
-        let second = svc.finish().unwrap();
-        assert_eq!(
-            second.replay_stats().records,
-            40,
-            "segmented stores recover"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

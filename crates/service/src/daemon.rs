@@ -144,15 +144,6 @@ pub struct ServiceConfig {
     /// Most cursors parked at once; past it the stalest is evicted so
     /// abandoned clients cannot pin unbounded snapshot memory.
     pub query_max_cursors: usize,
-    /// Precompute the next page of a parked cursor at park time, so a
-    /// `FetchCursor` is answered from already-serialized batches.
-    /// Bounded to one page per parked cursor.
-    pub query_prefetch: bool,
-    /// v3 reply bodies at least this large are LZ-compressed for
-    /// clients that advertised acceptance (the stream envelope's
-    /// accept-compressed flag). Compression is skipped whenever it
-    /// fails to shrink the body.
-    pub query_compress_min: usize,
     /// Silence on the UDP ingest loop ([`SirenDaemon::drain_udp`])
     /// after which an open epoch is committed without its sentinel
     /// quorum — the fallback for campaigns whose every `TYPE=END` copy
@@ -178,8 +169,6 @@ impl Default for ServiceConfig {
             query_deadline: Duration::from_secs(5),
             cursor_ttl: Duration::from_secs(60),
             query_max_cursors: 256,
-            query_prefetch: true,
-            query_compress_min: siren_proto::DEFAULT_COMPRESS_MIN_BYTES,
             quiet_period: Duration::from_secs(10),
             slow_query_threshold: Duration::from_millis(100),
         }

@@ -448,7 +448,7 @@ struct Parked {
     cursor: PlanCursor,
     /// The next page, precomputed at park time. Bounded by one page's
     /// rows/byte budget, and dropped with the entry on any eviction.
-    /// Empty when prefetch is disabled.
+    /// Empty when the cursor had no rows left to precompute.
     prefetched: PrefetchedPage,
     parked_at: Instant,
 }

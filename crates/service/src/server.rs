@@ -17,8 +17,8 @@
 //! (see [`siren_proto::stream`]): requests are processed as they
 //! arrive, each reply is tagged with its request's stream id, and
 //! concurrent replies on one connection round-robin batch production.
-//! Large reply bodies are LZ-compressed for requests that advertised
-//! acceptance.
+//! Reply bodies of at least `DEFAULT_COMPRESS_MIN_BYTES` are
+//! LZ-compressed for requests that advertised acceptance.
 //!
 //! Request execution is synchronous on the owning loop (plans are
 //! CPU-bound), but reply *transmission* is fully asynchronous: each
@@ -50,8 +50,8 @@ use siren_analysis::library_usage;
 use siren_obs::{SlowQueryEntry, Span};
 use siren_proto::{
     decode_hello, decode_stream_frame, encode_hello_ack, encode_stream_frame, negotiate,
-    QueryError, QueryRequest, QueryResponse, CONNECTION_STREAM, MAX_FRAME_PAYLOAD,
-    PROTOCOL_VERSION, STREAM_FLAG_COMPRESSED, STREAM_HEADER_LEN,
+    QueryError, QueryRequest, QueryResponse, CONNECTION_STREAM, DEFAULT_COMPRESS_MIN_BYTES,
+    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION, STREAM_FLAG_COMPRESSED, STREAM_HEADER_LEN,
 };
 use siren_reactor::{Event, FrameParseError, FramedConn, Interest, Poller, Slab, TimerWheel};
 use std::collections::VecDeque;
@@ -175,8 +175,6 @@ impl QueryServer {
                 stop: Arc::clone(&stop),
                 deadline: cfg.query_deadline,
                 slow_threshold: cfg.slow_query_threshold,
-                prefetch: cfg.query_prefetch,
-                compress_min: cfg.query_compress_min,
             };
             handles.push(
                 std::thread::Builder::new()
@@ -325,8 +323,6 @@ struct EventLoop {
     stop: Arc<AtomicBool>,
     deadline: Duration,
     slow_threshold: Duration,
-    prefetch: bool,
-    compress_min: usize,
 }
 
 impl EventLoop {
@@ -941,7 +937,7 @@ impl EventLoop {
     /// Queue one reply body on the wire, enveloped under `stream_id`
     /// (and compressed when the request accepted it and it pays).
     fn queue_body(&self, conn: &mut Conn, stream_id: u32, accept_compressed: bool, body: &[u8]) {
-        let compress_min = accept_compressed.then_some(self.compress_min);
+        let compress_min = accept_compressed.then_some(DEFAULT_COMPRESS_MIN_BYTES);
         let wire = encode_stream_frame(stream_id, body, false, compress_min);
         if wire.len() > STREAM_HEADER_LEN
             && wire[STREAM_HEADER_LEN - 1] & STREAM_FLAG_COMPRESSED != 0
@@ -1164,9 +1160,6 @@ impl EventLoop {
         reply: &ReplyStream,
         mut cursor: PlanCursor,
     ) -> (PlanCursor, Vec<(Vec<u8>, u32)>) {
-        if !self.prefetch {
-            return (cursor, Vec::new());
-        }
         let mut prefetched: Vec<(Vec<u8>, u32)> = Vec::new();
         let mut rows = 0usize;
         while rows < reply.page_rows {

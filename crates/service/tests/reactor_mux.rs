@@ -250,39 +250,6 @@ fn dropped_mux_stream_closes_its_cursor_and_connection_survives() {
     assert_eq!(rows, expected);
 }
 
-/// Prefetch is on by default and serves whole pages it precomputed at
-/// park time; with it disabled the same plan must stream identically.
-#[test]
-fn prefetch_toggle_does_not_change_results() {
-    let dir = temp_data_dir("noprefetch");
-    let cfg = ServiceConfig {
-        query_prefetch: false,
-        ..server_config(&dir)
-    };
-    let (mut daemon, _) = SirenDaemon::open(cfg).unwrap();
-    let receiver = UdpReceiver::spawn(65_536).unwrap();
-    let sender = UdpSender::connect(receiver.local_addr()).unwrap();
-    for msg in campaign_messages(0, 0) {
-        sender.send(&msg.encode());
-    }
-    daemon.drain_udp(&receiver, 1).unwrap();
-    let qaddr = daemon.query_addr().unwrap();
-    let snapshot = daemon.snapshot();
-
-    let plan = QueryPlan::records().batch_rows(3).page_rows(6);
-    let expected = snapshot.plan_rows(plan.clone()).unwrap();
-    let mut client = SirenClient::connect(qaddr).unwrap();
-    let rows = client.query(plan).unwrap().collect_rows().unwrap();
-    assert_eq!(rows, expected);
-
-    let m = client.metrics().unwrap();
-    assert_eq!(
-        m.counter("prefetch.pages_built"),
-        0,
-        "prefetch disabled must build nothing"
-    );
-}
-
 /// Hostile envelopes: a post-negotiation frame too short to carry the
 /// stream header is a connection-scoped fault — the server answers
 /// with a typed error on stream 0 and closes. (The frame-layer hostile

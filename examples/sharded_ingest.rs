@@ -1,14 +1,14 @@
 //! Demonstrates the sharded ingest service and multi-cluster fleets:
-//! the same campaign through the serial and sharded receiver tiers
-//! (asserting identical output), the live sharded UDP loopback path,
-//! and a two-cluster fleet into one ingest service.
+//! the same campaign through one shard and through several (asserting
+//! identical output), the live sharded UDP loopback path, and a
+//! two-cluster fleet into one ingest service.
 //!
 //! ```bash
 //! cargo run --release --example sharded_ingest
 //! ```
 
 use siren_repro::{
-    Deployment, DeploymentConfig, FleetDeployment, FleetDeploymentConfig, IngestMode, TransportKind,
+    Deployment, DeploymentConfig, FleetDeployment, FleetDeploymentConfig, TransportKind,
 };
 
 fn main() {
@@ -18,24 +18,26 @@ fn main() {
         cfg
     };
 
-    // Serial reference.
-    let serial = Deployment::new(base()).run();
+    // One shard: the paper's single receiver process.
+    let single = Deployment::new(base()).run();
     println!(
-        "serial:      {:>6} records, {:>6} db rows, {} shards",
-        serial.records.len(),
-        serial.db_rows,
-        serial.shard_stats.len()
+        "1 shard:     {:>6} records, {:>6} db rows",
+        single.records.len(),
+        single.db_rows,
     );
 
-    // Sharded, same campaign: output must be identical record for record.
+    // More shards, same campaign: output must be identical record for
+    // record.
     for shards in [2usize, 4] {
         let mut cfg = base();
-        cfg.ingest = IngestMode::Sharded(shards);
+        cfg.shards = shards;
         let sharded = Deployment::new(cfg).run();
-        assert_eq!(sharded.records, serial.records);
+        assert_eq!(sharded.records, single.records);
+        // Per-shard message counts; fewer entries than requested means
+        // the hardware clamp applied.
         let per_shard: Vec<u64> = sharded.shard_stats.iter().map(|s| s.received).collect();
         println!(
-            "sharded({}):  {:>6} records — identical to serial; per-shard messages {:?}",
+            "{} shards:    {:>6} records — identical to 1 shard; per-shard messages {:?}",
             shards,
             sharded.records.len(),
             per_shard
@@ -46,7 +48,7 @@ fn main() {
     // streaming drain threads, stopped by the end-of-campaign sentinel.
     let mut cfg = base();
     cfg.transport = TransportKind::UdpLoopback;
-    cfg.ingest = IngestMode::Sharded(3);
+    cfg.shards = 3;
     let udp = Deployment::new(cfg).run();
     println!(
         "udp sharded: {:>6} records, {}/{} datagrams delivered, backpressure waits {:?}",

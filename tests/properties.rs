@@ -3,13 +3,18 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::{rng_for, TestRng};
-use siren_repro::db::Record;
+use siren_repro::cluster::Campaign;
+use siren_repro::collector::Collector;
+use siren_repro::consolidate::{consolidate, ConsolidateStats, ProcessRecord};
+use siren_repro::db::{Database, Record};
 use siren_repro::elf::{Binding, ElfBuilder, ElfFile, ElfType, SymType};
 use siren_repro::fuzzy::{
     compare_parsed, fuzzy_hash, fuzzy_hash_reference, FuzzyHash, FuzzyHasher,
 };
+use siren_repro::net::SimChannel;
 use siren_repro::text::Regex;
 use siren_repro::wire::{chunk_message, Layer, Message, MessageHeader, MessageType, Reassembler};
+use siren_repro::DeploymentConfig;
 
 fn arb_layer() -> impl Strategy<Value = Layer> {
     prop_oneof![Just(Layer::SelfExe), Just(Layer::Script)]
@@ -605,10 +610,56 @@ proptest! {
     }
 }
 
+// The reference receiver the ingest properties below check against:
+// one reassembler, one in-memory database and one `consolidate` over the
+// whole message stream — the paper's single receiver process (§3.1).
+
+/// What the reference receiver produces for one message stream.
+struct ReferenceFold {
+    records: Vec<ProcessRecord>,
+    stats: ConsolidateStats,
+    db_rows: u64,
+    complete: u64,
+    incomplete: u64,
+}
+
+fn reference_fold(messages: &[Message]) -> ReferenceFold {
+    let mut reasm = Reassembler::new();
+    let db = Database::in_memory();
+    let mut complete = 0u64;
+    for msg in messages {
+        if msg.header.mtype == MessageType::End {
+            continue; // transport control, not data
+        }
+        if let Some(done) = reasm.push(msg.clone()) {
+            complete += 1;
+            db.insert_message(done).unwrap();
+        }
+    }
+    let incomplete = reasm.drain_incomplete().len() as u64;
+    let consolidated = consolidate(&db);
+    ReferenceFold {
+        records: consolidated.records,
+        stats: consolidated.stats,
+        db_rows: db.len() as u64,
+        complete,
+        incomplete,
+    }
+}
+
+/// The message stream a simulated deployment of `cfg` ingests: the same
+/// campaign, collector and seeded channel `Deployment::run` drives.
+fn simulated_stream(cfg: &DeploymentConfig) -> Vec<Message> {
+    let (tx, rx) = SimChannel::create(cfg.channel);
+    let mut collector = Collector::new(&tx, cfg.policy).with_max_datagram(cfg.max_datagram);
+    Campaign::new(cfg.campaign.clone()).run(|ctx| collector.observe(&ctx));
+    rx.drain_messages().0
+}
+
 // Daemon crash-recovery determinism: a long-running service killed
 // mid-stream and restarted must converge, after a full re-send of the
 // interrupted campaign, on cross-epoch query results that are
-// record-for-record identical to a fresh serial run over the same
+// record-for-record identical to the reference fold over the same
 // campaigns — with injected datagram loss, a fuzzed crash point, and a
 // fuzzed torn-WAL-tail truncation.
 
@@ -623,13 +674,10 @@ proptest! {
         tear_frac in 0.0f64..0.5,
         shards in 1usize..4,
     ) {
-        use siren_repro::cluster::{Campaign, CampaignConfig, FleetConfig};
-        use siren_repro::collector::{Collector, PolicyMode};
-        use siren_repro::consolidate::{consolidate, ProcessRecord};
-        use siren_repro::db::Database;
-        use siren_repro::net::{SimChannel, SimConfig};
+        use siren_repro::cluster::{CampaignConfig, FleetConfig};
+        use siren_repro::collector::PolicyMode;
+        use siren_repro::net::SimConfig;
         use siren_repro::service::{ServiceConfig, SirenDaemon};
-        use siren_repro::wire::{Message, MessageType, Reassembler};
 
         let fleet = FleetConfig {
             clusters: 2,
@@ -642,7 +690,7 @@ proptest! {
         };
 
         // Collect both campaigns once, with injected loss, so the crashed
-        // daemon and the fresh serial reference see identical streams.
+        // daemon and the reference fold see identical streams.
         let collect = |k: usize| -> Vec<Message> {
             let (tx, rx) = SimChannel::create(SimConfig::with_loss(0.05, loss_seed ^ k as u64));
             let mut collector = Collector::new(&tx, PolicyMode::Selective)
@@ -652,22 +700,9 @@ proptest! {
             collector.end_campaign();
             rx.drain_messages().0
         };
-        let serial_reference = |messages: &[Message]| -> Vec<ProcessRecord> {
-            let mut reasm = Reassembler::new();
-            let db = Database::in_memory();
-            for msg in messages {
-                if msg.header.mtype == MessageType::End {
-                    continue;
-                }
-                if let Some(done) = reasm.push(msg.clone()) {
-                    db.insert_message(done).unwrap();
-                }
-            }
-            consolidate(&db).records
-        };
         let epoch_streams: Vec<Vec<Message>> = (0..2).map(collect).collect();
         let references: Vec<Vec<ProcessRecord>> =
-            epoch_streams.iter().map(|m| serial_reference(m)).collect();
+            epoch_streams.iter().map(|m| reference_fold(m).records).collect();
 
         let dir = std::env::temp_dir().join(format!(
             "siren-prop-daemon-{}-{}",
@@ -719,7 +754,7 @@ proptest! {
             daemon.close_epoch().unwrap();
         }
 
-        // Cross-epoch queries equal the fresh serial runs, record for
+        // Cross-epoch queries equal the reference fold, record for
         // record.
         let query = daemon.snapshot();
         prop_assert_eq!(query.epochs(), vec![0, 1]);
@@ -745,51 +780,52 @@ proptest! {
 }
 
 // Shard-merge determinism: the sharded ingest service is a pure
-// refactoring of the serial receiver — for any campaign seed, any loss
-// pattern, and any shard count, the consolidated output must be equal
-// record for record.
+// refactoring of the reference receiver — for any campaign seed, any
+// loss pattern, and any shard count, the consolidated output must be
+// equal record for record.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// `Sharded(n)` equals `Serial` for n ∈ {1, 2, 8}, with and without
-    /// injected datagram loss.
+    /// A deployment with n ∈ {1, 2, 8} shards equals the reference fold
+    /// over the same message stream, with and without injected datagram
+    /// loss.
     #[test]
     fn sharded_ingest_equals_serial(
         campaign_seed in any::<u64>(),
         channel_seed in any::<u64>(),
     ) {
-        use siren_repro::{Deployment, DeploymentConfig, IngestMode};
         use siren_repro::net::SimConfig;
+        use siren_repro::Deployment;
 
         for loss in [0.0f64, 0.05] {
-            let base = || {
-                let mut cfg = DeploymentConfig::default();
-                cfg.campaign.scale = 0.001;
-                cfg.campaign.seed = campaign_seed;
-                cfg.channel = if loss > 0.0 {
-                    SimConfig::with_loss(loss, channel_seed)
-                } else {
-                    SimConfig::perfect()
-                };
-                cfg
+            let mut cfg = DeploymentConfig::default();
+            cfg.campaign.scale = 0.001;
+            cfg.campaign.seed = campaign_seed;
+            cfg.channel = if loss > 0.0 {
+                SimConfig::with_loss(loss, channel_seed)
+            } else {
+                SimConfig::perfect()
             };
-            let serial = Deployment::new(base()).run();
-            if loss > 0.0 {
-                // The loss pattern must actually bite, or this case
-                // degenerates into the lossless one.
-                prop_assert!(serial.datagrams_dropped > 0);
-            }
+            // Unclamped: the 8-shard merge runs 8 workers even on a
+            // machine with fewer cores.
+            cfg.ingest_clamp = false;
+            let reference = reference_fold(&simulated_stream(&cfg));
             for shards in [1usize, 2, 8] {
-                let mut cfg = base();
-                cfg.ingest = IngestMode::Sharded(shards);
-                let sharded = Deployment::new(cfg).run();
-                prop_assert_eq!(&sharded.records, &serial.records,
+                cfg.shards = shards;
+                let run = Deployment::new(cfg.clone()).run();
+                if loss > 0.0 {
+                    // The loss pattern must actually bite, or this case
+                    // degenerates into the lossless one.
+                    prop_assert!(run.datagrams_dropped > 0);
+                }
+                prop_assert_eq!(run.shard_stats.len(), shards);
+                prop_assert_eq!(&run.records, &reference.records,
                     "shards={} loss={}", shards, loss);
-                prop_assert_eq!(sharded.db_rows, serial.db_rows);
-                prop_assert_eq!(sharded.reassembly_complete, serial.reassembly_complete);
-                prop_assert_eq!(sharded.reassembly_incomplete, serial.reassembly_incomplete);
-                prop_assert_eq!(sharded.consolidate_stats, serial.consolidate_stats);
+                prop_assert_eq!(run.db_rows, reference.db_rows);
+                prop_assert_eq!(run.reassembly_complete, reference.complete);
+                prop_assert_eq!(run.reassembly_incomplete, reference.incomplete);
+                prop_assert_eq!(run.consolidate_stats, reference.stats);
             }
         }
     }
