@@ -3,7 +3,7 @@
 //! The paper derives software labels from path names (Table 5) and uses
 //! similarity search to place one unknown at a time (Table 7). The
 //! natural generalization — and the direction the paper's HPC-application
-//! classification companion work [22] points to — is *clustering*: build
+//! classification companion work \[22\] points to — is *clustering*: build
 //! the similarity graph over all distinct binaries (edges where
 //! `FILE_H` similarity ≥ threshold) and take connected components as
 //! software families, with no path information at all.

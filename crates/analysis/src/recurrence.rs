@@ -9,8 +9,8 @@
 //! repeated executions of the *same application in a different build* are
 //! recognized by high-but-imperfect similarity. This module produces the
 //! per-binary execution history that downstream use cases (performance-
-//! variability studies over "repetitive job behavior" [14], energy
-//! prediction [36]) consume.
+//! variability studies over "repetitive job behavior" \[14\], energy
+//! prediction \[36\]) consume.
 
 use crate::render::{group_digits, render_table};
 use crate::{category_of, RecordCategory};

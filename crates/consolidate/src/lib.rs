@@ -24,7 +24,7 @@ pub use record::{parse_kv, parse_list, ProcessRecord, ScriptRecord};
 
 use siren_db::{Database, Record};
 use siren_wire::{Layer, MessageType, ProcessKey};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Consolidation statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -103,46 +103,48 @@ impl Consolidator {
             scripts,
         } = self;
 
-        // Merge SCRIPT rows into their parent interpreter record. The
-        // parent shares (job, step, pid, host, time) but has a different
-        // exe_hash (the script's path hash), so matching ignores exe_hash.
-        let mut parent_index: HashMap<(u64, u32, u32, String, u64), Vec<ProcessKey>> =
-            HashMap::new();
-        for key in by_key.keys() {
-            parent_index
-                .entry((key.job_id, key.step_id, key.pid, key.host.clone(), key.time))
-                .or_default()
-                .push(key.clone());
-        }
-
         // Group script rows by their own key first (META + SCRIPT_H of
-        // one script observation belong together).
-        let mut script_groups: HashMap<ProcessKey, Vec<Record>> = HashMap::new();
+        // one script observation belong together), in key order so the
+        // merge below does not depend on hash iteration order.
+        let mut script_groups: BTreeMap<ProcessKey, Vec<Record>> = BTreeMap::new();
         for row in scripts {
             script_groups.entry(key_of(&row)).or_default().push(row);
         }
 
-        for (skey, rows) in script_groups {
-            let parent_key = (
-                skey.job_id,
-                skey.step_id,
-                skey.pid,
-                skey.host.clone(),
-                skey.time,
-            );
-            let matched = parent_index.get(&parent_key).and_then(|candidates| {
-                candidates.iter().find(|k| {
-                    by_key
-                        .get(k)
-                        .map(|r| r.is_python_interpreter())
-                        .unwrap_or(false)
-                })
-            });
-            match matched {
+        // The parent interpreter shares (job, step, pid, host, time) with
+        // its script but has a different exe_hash (the interpreter's own
+        // path hash), so matching ignores exe_hash. One borrowing pass
+        // over the records finds, per wanted parent tuple, the least
+        // interpreter by `record_order` — a deterministic pick when an
+        // interpreter exec'd another (`python` → `python3.6`) and both
+        // share the tuple.
+        let mut best: HashMap<ParentTuple<'_>, Option<&ProcessRecord>> = script_groups
+            .keys()
+            .map(|skey| (parent_tuple(skey), None))
+            .collect();
+        if !best.is_empty() {
+            for rec in by_key.values() {
+                if let Some(slot) = best.get_mut(&parent_tuple(&rec.key)) {
+                    let better = slot.is_none_or(|b| record_order(rec, b).is_lt());
+                    if better && rec.is_python_interpreter() {
+                        *slot = Some(rec);
+                    }
+                }
+            }
+        }
+        // Owned keys, one per group, so the merge below can borrow
+        // `by_key` mutably.
+        let parents: Vec<Option<ProcessKey>> = script_groups
+            .keys()
+            .map(|skey| best[&parent_tuple(skey)].map(|rec| rec.key.clone()))
+            .collect();
+
+        for (rows, parent) in script_groups.values().zip(parents) {
+            match parent {
                 Some(pk) => {
-                    let parent = by_key.get_mut(pk).expect("key from index");
+                    let parent = by_key.get_mut(&pk).expect("parent key from by_key");
                     let mut script = ScriptRecord::default();
-                    for row in &rows {
+                    for row in rows {
                         match row.mtype {
                             MessageType::Meta => {
                                 let kv = parse_kv(&row.content);
@@ -180,6 +182,14 @@ pub fn consolidate(db: &Database) -> Consolidated {
         }
     });
     consolidator.finish()
+}
+
+/// What a script shares with its interpreter parent: `(job, step, pid,
+/// host, time)`.
+type ParentTuple<'a> = (u64, u32, u32, &'a str, u64);
+
+fn parent_tuple(key: &ProcessKey) -> ParentTuple<'_> {
+    (key.job_id, key.step_id, key.pid, &key.host, key.time)
 }
 
 fn key_of(row: &Record) -> ProcessKey {
@@ -363,6 +373,61 @@ mod tests {
         let script = c.records[0].script.as_ref().unwrap();
         assert_eq!(script.path.as_deref(), Some("/u/run.py"));
         assert_eq!(script.script_hash.as_deref(), Some("3:s:h"));
+    }
+
+    #[test]
+    fn script_parent_choice_is_deterministic_between_interpreters() {
+        // `python` exec'd `python3.6` under the same pid within the same
+        // second: two interpreter records share the script's parent
+        // tuple. Every fresh consolidator (a fresh hash seed each) and
+        // either arrival order must hand the script to the least
+        // candidate by `record_order`, i.e. exe hash "aa".
+        let rows = [
+            row(
+                5,
+                50,
+                "bb",
+                9,
+                Layer::SelfExe,
+                MessageType::Meta,
+                &meta("/usr/bin/python3.6"),
+            ),
+            row(
+                5,
+                50,
+                "aa",
+                9,
+                Layer::SelfExe,
+                MessageType::Meta,
+                &meta("/usr/bin/python"),
+            ),
+            row(
+                5,
+                50,
+                "script",
+                9,
+                Layer::Script,
+                MessageType::ScriptHash,
+                "3:s:h",
+            ),
+        ];
+        for i in 0..32 {
+            let mut fold = Consolidator::new();
+            if i % 2 == 0 {
+                rows.iter().for_each(|r| fold.push_row(r));
+            } else {
+                rows.iter().rev().for_each(|r| fold.push_row(r));
+            }
+            let c = fold.finish();
+            assert_eq!(c.stats.merged_scripts, 1);
+            let with_script: Vec<&str> = c
+                .records
+                .iter()
+                .filter(|r| r.script.is_some())
+                .map(|r| r.key.exe_hash.as_str())
+                .collect();
+            assert_eq!(with_script, ["aa"], "consolidator {i}");
+        }
     }
 
     #[test]

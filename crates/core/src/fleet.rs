@@ -208,7 +208,7 @@ impl FleetDeployment {
 
 /// Outcome of an epoch-mode fleet run ([`FleetDeployment::run_as_epochs`]).
 /// The committed records stay inside the daemon — query them through
-/// [`SirenDaemon::query`].
+/// [`SirenDaemon::snapshot`].
 #[derive(Debug)]
 pub struct EpochFleetResult {
     /// One commit receipt per cluster campaign, epoch order.

@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn persistent_database_round_trips() {
-        use siren_db::Database;
+        use siren_db::{Record, WalBackend};
 
         let dir = std::env::temp_dir().join(format!("siren-core-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -489,10 +489,10 @@ mod tests {
 
         let mut stored = 0u64;
         for i in 0..3 {
-            let (db, stats) = Database::open(&partition(i)).unwrap();
+            let (_wal, rows, stats) = WalBackend::<Record>::open(&partition(i)).unwrap();
             assert_eq!(stats.corrupt_tail_bytes, 0);
-            assert_eq!(stats.records, db.len() as u64);
-            stored += db.len() as u64;
+            assert_eq!(stats.records, rows.len() as u64);
+            stored += rows.len() as u64;
         }
         assert_eq!(stored, r.db_rows);
 

@@ -1,19 +1,19 @@
-//! # siren-db — embedded message store
+//! # siren-db — the message row type and its in-memory row log
 //!
 //! The paper's receiver inserts UDP messages into an SQLite database whose
-//! columns are exactly the UDP header fields plus CONTENT (§3.1). SQLite
-//! is not among this project's allowed dependencies, so this crate
-//! implements the storage layer the pipeline needs, from scratch:
+//! columns are exactly the UDP header fields plus CONTENT (§3.1). This
+//! crate keeps the row and what the reference receiver needs of that
+//! table:
 //!
 //! * [`Record`] — one row: `JOBID, STEPID, PID, HASH, HOST, TIME, LAYER,
-//!   TYPE, CONTENT`.
-//! * [`Database`] — an append-only row log over a pluggable
-//!   [`StorageBackend`]: each ingest shard worker appends its reassembled
-//!   messages, and consolidation reads the rows back in arrival order.
-//!   Durability is delegated to the backend — volatile
-//!   ([`Database::in_memory`]) or one flat WAL ([`Database::open`], the
-//!   seed's format, with checksummed records and corruption-tolerant
-//!   replay).
+//!   TYPE, CONTENT`, with the binary payload codec the ingest tier's
+//!   write-ahead log frames ([`log`]).
+//! * [`Database`] — an append-only, in-memory row log. It is the row
+//!   store behind the reference fold (one reassembler, one `Database`,
+//!   one `siren_consolidate::consolidate` over a whole campaign) that
+//!   tests and the benchmark check the ingest tier against. The ingest
+//!   tier itself appends rows to a [`StorageBackend`] ([`WalBackend`] or
+//!   [`NullBackend`]) and folds them as they arrive, holding no row log.
 //!
 //! Concurrency model: many threads may `insert` while others read a row
 //! snapshot; a `parking_lot::RwLock` arbitrates (writes are append-only
@@ -28,54 +28,24 @@ pub use siren_store::{NullBackend, StorageBackend, WalBackend};
 
 use parking_lot::RwLock;
 use siren_wire::CompleteMessage;
-use std::path::Path;
 
-struct Inner {
-    rows: Vec<Record>,
-    backend: Box<dyn StorageBackend<Record>>,
-}
-
-/// The message database.
+/// The in-memory message row log. Inserts never fail; they return
+/// `io::Result` so a caller can treat this log like a persistent store.
 pub struct Database {
-    inner: RwLock<Inner>,
-}
-
-impl Default for Database {
-    fn default() -> Self {
-        Self::in_memory()
-    }
+    rows: RwLock<Vec<Record>>,
 }
 
 impl Database {
-    /// Volatile store (no persistence).
+    /// Empty log.
     pub fn in_memory() -> Self {
-        Self::from_backend(Box::new(NullBackend), Vec::new())
-    }
-
-    /// Row log over an arbitrary backend, pre-seeded with the records the
-    /// backend recovered. The seam every other constructor goes through.
-    pub fn from_backend(backend: Box<dyn StorageBackend<Record>>, initial: Vec<Record>) -> Self {
         Self {
-            inner: RwLock::new(Inner {
-                rows: initial,
-                backend,
-            }),
+            rows: RwLock::new(Vec::new()),
         }
     }
 
-    /// Open (or create) a persistent store backed by a single flat
-    /// write-ahead log at `path`. Existing records are replayed; a
-    /// corrupt tail is truncated away and reported in [`ReplayStats`].
-    pub fn open(path: &Path) -> std::io::Result<(Self, ReplayStats)> {
-        let (backend, records, stats) = WalBackend::open(path)?;
-        Ok((Self::from_backend(Box::new(backend), records), stats))
-    }
-
-    /// Insert one record (appending through the backend when persistent).
+    /// Insert one record.
     pub fn insert(&self, rec: Record) -> std::io::Result<()> {
-        let mut inner = self.inner.write();
-        inner.backend.append_batch(std::slice::from_ref(&rec))?;
-        inner.rows.push(rec);
+        self.rows.write().push(rec);
         Ok(())
     }
 
@@ -84,19 +54,9 @@ impl Database {
         self.insert(Record::from(msg))
     }
 
-    /// Insert many records under one lock acquisition and one WAL pass.
-    ///
-    /// The hot ingest path produces records far faster than per-record
-    /// `insert` can take the write lock; batching amortizes the lock and
-    /// lets the WAL writer buffer all frames before a single flush.
+    /// Insert many records under one lock acquisition.
     pub fn insert_batch(&self, recs: Vec<Record>) -> std::io::Result<()> {
-        if recs.is_empty() {
-            return Ok(());
-        }
-        let mut inner = self.inner.write();
-        inner.backend.append_batch(&recs)?;
-        inner.backend.flush()?;
-        inner.rows.extend(recs);
+        self.rows.write().extend(recs);
         Ok(())
     }
 
@@ -107,29 +67,18 @@ impl Database {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.inner.read().rows.len()
+        self.rows.read().len()
     }
 
-    /// True when the store holds no rows.
+    /// True when the log holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Flush buffered writes to the OS.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.write().backend.flush()
-    }
-
-    /// Flush and fsync to stable storage.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.inner.write().backend.sync()
     }
 
     /// Run `f` over a shared snapshot of all rows, in insertion order
     /// (no cloning).
     pub fn with_rows<R>(&self, f: impl FnOnce(&[Record]) -> R) -> R {
-        let inner = self.inner.read();
-        f(&inner.rows)
+        f(&self.rows.read())
     }
 }
 
@@ -162,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_serial_inserts_and_persists() {
+    fn insert_batch_matches_serial_inserts() {
         let serial = Database::in_memory();
         let batched = Database::in_memory();
         let recs: Vec<Record> = (0..100)
@@ -174,89 +123,6 @@ mod tests {
         batched.insert_batch(recs).unwrap();
         assert_eq!(serial.len(), batched.len());
         serial.with_rows(|a| batched.with_rows(|b| assert_eq!(a, b)));
-
-        // Batches hit the WAL exactly like serial inserts.
-        let dir = std::env::temp_dir().join(format!("siren-db-batch-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("batch.sirendb");
-        let _ = std::fs::remove_file(&path);
-        {
-            let (db, _) = Database::open(&path).unwrap();
-            db.insert_batch(
-                (0..50)
-                    .map(|i| rec(i, i as u32, MessageType::Meta, "m"))
-                    .collect(),
-            )
-            .unwrap();
-        }
-        let (db, stats) = Database::open(&path).unwrap();
-        assert_eq!(stats.records, 50);
-        assert_eq!(db.len(), 50);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn persistence_round_trip() {
-        let dir = std::env::temp_dir().join(format!("siren-db-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-roundtrip.sirendb");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let (db, stats) = Database::open(&path).unwrap();
-            assert_eq!(stats.records, 0);
-            for j in 0..50 {
-                db.insert(rec(j, j as u32, MessageType::Objects, &format!("lib{j}")))
-                    .unwrap();
-            }
-            db.flush().unwrap();
-        }
-        {
-            let (db, stats) = Database::open(&path).unwrap();
-            assert_eq!(stats.records, 50);
-            assert_eq!(stats.corrupt_tail_bytes, 0);
-            assert_eq!(db.len(), 50);
-            // Replay restores insertion order.
-            db.with_rows(|rows| assert_eq!(rows[7].content, "lib7"));
-            // And appending after replay still works.
-            db.insert(rec(100, 1, MessageType::Meta, "post-replay"))
-                .unwrap();
-            db.flush().unwrap();
-        }
-        {
-            let (db, _) = Database::open(&path).unwrap();
-            assert_eq!(db.len(), 51);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_tail_is_tolerated() {
-        let dir = std::env::temp_dir().join(format!("siren-db-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-corrupt.sirendb");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let (db, _) = Database::open(&path).unwrap();
-            for j in 0..10 {
-                db.insert(rec(j, 1, MessageType::Meta, "ok")).unwrap();
-            }
-            db.flush().unwrap();
-        }
-        // Simulate a torn write: append garbage.
-        {
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
-        }
-        let (db, stats) = Database::open(&path).unwrap();
-        assert_eq!(db.len(), 10);
-        assert!(stats.corrupt_tail_bytes > 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

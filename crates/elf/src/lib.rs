@@ -8,7 +8,7 @@
 //!
 //! * [`read`] — a defensive, never-panicking ELF64 parser
 //!   ([`read::ElfFile`]) exposing exactly those extractions.
-//! * [`write`] — an ELF64 **builder** ([`write::ElfBuilder`]) used by the
+//! * [`mod@write`] — an ELF64 **builder** ([`write::ElfBuilder`]) used by the
 //!   workload simulator to synthesize structurally valid executables with
 //!   controlled `.text` payloads, `.comment` compiler strings, symbol
 //!   tables, and `DT_NEEDED` entries. This replaces the real LAMMPS /

@@ -1,6 +1,6 @@
 //! N-gram candidate index for similarity search.
 //!
-//! [`similarity_search`](crate::similarity_search) scores a baseline
+//! [`similarity_search`] scores a baseline
 //! against *every* corpus entry, which is O(corpus) edit-distance work
 //! per query. But a nonzero score is only possible in two narrow cases
 //! (see [`compare_parsed`]):

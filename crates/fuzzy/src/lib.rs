@@ -25,7 +25,7 @@
 //!
 //! ## Comparison
 //!
-//! [`compare`] scores two fuzzy hashes 0–100 using spamsum's weighted
+//! [`compare()`] scores two fuzzy hashes 0–100 using spamsum's weighted
 //! Damerau–Levenshtein distance over the signature strings, gated by a
 //! common 7-gram requirement, exactly as described in §2.1 of the paper.
 //! Those weights make the distance an indel distance, which the

@@ -1,7 +1,7 @@
 //! The spamsum rolling hash.
 //!
 //! A cheap hash over a sliding 7-byte window, designed so that its value
-//! depends *only* on the last [`ROLLING_WINDOW`](crate::ROLLING_WINDOW)
+//! depends *only* on the last [`ROLLING_WINDOW`]
 //! bytes. This is what makes chunk boundaries content-defined: the same
 //! 7 bytes always produce the same boundary decision regardless of where
 //! they appear in the file, so an insertion far away cannot shift every

@@ -3,7 +3,7 @@
 //! The SIREN paper uses three distinct kinds of hashing and this crate
 //! provides all of them from scratch (no external hashing dependencies):
 //!
-//! * [`xxh64`] / [`Xxh64`] — the XXH64 algorithm, used as a fast
+//! * [`xxh64()`] / [`Xxh64`] — the XXH64 algorithm, used as a fast
 //!   non-cryptographic hash. The paper's `siren.so` hashes the path of
 //!   `/proc/self/exe` with `XXH3_128bits` purely to disambiguate PID
 //!   collisions in the database; [`xxh3_128`] plays that role here.
@@ -13,14 +13,14 @@
 //!   implementation is **not** guaranteed (no official vectors were
 //!   available offline); SIREN only requires determinism and dispersion,
 //!   both of which are tested.
-//! * [`sha1`] — SHA-1, implemented for the XALT-style *baseline*: XALT
+//! * [`sha1()`] — SHA-1, implemented for the XALT-style *baseline*: XALT
 //!   identifies executables by a cryptographic hash, which recognizes only
 //!   byte-identical files. The ablation experiments contrast this with
 //!   fuzzy hashing.
 //! * [`fnv1a32`] / [`fnv1a64`] — FNV-1a, the piecewise hash family that
 //!   SSDeep's CTPH builds on (see the `siren-fuzzy` crate).
 //!
-//! Encoding helpers ([`hex`], [`base64`]) are also provided since fuzzy
+//! Encoding helpers ([`to_hex`]/[`from_hex`], [`to_base64`]) are also provided since fuzzy
 //! hashes and record keys are exchanged as text over the wire protocol.
 
 pub mod encode;

@@ -7,24 +7,30 @@
 //! the paper's single receiver process:
 //!
 //! ```text
-//!                      ┌──────────────────────────────────────────────┐
-//!  messages ──▶ router │ shard 0: channel ▶ reassembler ▶ db ▶ consol │──┐
-//!   (job-keyed  hash)  │ shard 1: channel ▶ reassembler ▶ db ▶ consol │──┼─▶ ordered merge
-//!                      │   ⋮            (worker thread per shard)     │──┘
-//!                      └──────────────────────────────────────────────┘
+//!                      ┌─────────────────────────────────────────────┐
+//!  messages ──▶ router │ shard 0: channel ▶ reassembler ▶ wal ▶ fold │──┐
+//!   (job-keyed  hash)  │ shard 1: channel ▶ reassembler ▶ wal ▶ fold │──┼─▶ ordered merge
+//!                      │   ⋮           (worker thread per shard)     │──┘
+//!                      └─────────────────────────────────────────────┘
 //! ```
 //!
 //! * [`ShardRouter`] hashes the job id so every datagram of one job —
 //!   including the SCRIPT-layer rows consolidation must pair with their
 //!   interpreter — lands on the same shard.
-//! * Each shard worker owns a `Reassembler` and a `Database` partition
-//!   behind a bounded channel; completed messages are stored with
-//!   `Database::insert_batch`, amortizing locks and WAL flushes.
+//! * Each shard worker owns a `Reassembler`, a WAL partition (a
+//!   `StorageBackend`: `WalBackend` at [`IngestConfig::wal_base`], else
+//!   `NullBackend`) and a `siren_consolidate::Consolidator`, behind a
+//!   bounded channel. Every [`IngestConfig::batch_size`] completed
+//!   messages are appended to the WAL and flushed as one batch, then
+//!   folded into the `Consolidator` — the paper's consolidating
+//!   receiver, folding while it receives. On spawn, the rows the WAL
+//!   replays seed the fold, so a resumed epoch is a re-feed.
 //! * Producers never lose data to a slow shard: when a channel fills,
 //!   the push degrades to a blocking send and the stall is counted in
 //!   [`ShardStats::backpressure_waits`] — observability instead of the
 //!   receiver-side load shedding the UDP tier does.
-//! * [`IngestService::finish`] consolidates every shard in parallel and
+//! * [`IngestService::finish`] drains each shard's channel, runs what is
+//!   left of its fold (the script merge and the sort) in parallel, and
 //!   merges the per-shard outputs into one order-stable record vector
 //!   that is **identical, record for record, to one reassembler, one
 //!   database and one `consolidate` over the same messages** (the
@@ -33,7 +39,8 @@
 //!
 //! `tests/properties.rs` in the umbrella crate asserts that equality
 //! against a test-side reference fold for shard counts 1, 2, and 8,
-//! with and without injected datagram loss.
+//! with and without injected datagram loss, and for resumed shards
+//! against the fold of what their partitions hold.
 
 pub mod metrics;
 pub mod service;

@@ -47,8 +47,9 @@ pub struct IngestMetrics {
     pub replay_tail_bytes: Arc<Counter>,
     /// `ingest.reassembly_ns` — per-datagram reassembler push latency.
     pub reassembly_ns: Arc<Histogram>,
-    /// `ingest.batch_insert_ns` — latency of one batched insert into a
-    /// shard partition (includes the WAL append underneath).
+    /// `ingest.batch_insert_ns` — latency of one batch into a shard
+    /// partition: row conversion, WAL append and flush (the fold that
+    /// follows is not included).
     pub batch_insert_ns: Arc<Histogram>,
 }
 

@@ -1,10 +1,10 @@
-//! The ingest service: shard workers, backpressure, parallel
-//! consolidation, deterministic merge.
+//! The ingest service: shard workers that fold as batches land,
+//! backpressure, deterministic merge.
 
 use crate::metrics::IngestMetrics;
 use crossbeam::channel::{bounded, Receiver, Sender as ChanSender, TrySendError};
-use siren_consolidate::{consolidate, record_order, ConsolidateStats, ProcessRecord};
-use siren_db::{Database, ReplayStats};
+use siren_consolidate::{record_order, ConsolidateStats, Consolidator, ProcessRecord};
+use siren_db::{NullBackend, Record, ReplayStats, StorageBackend, WalBackend};
 use siren_obs::{Counter, SpanBuffer, SpanId, TraceId};
 use siren_wire::ShardRouter;
 use siren_wire::{CompleteMessage, Message, MessageType, Reassembler, WireError};
@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 /// Where shard workers record their per-epoch spans: the daemon's span
 /// flight recorder plus the `(trace, parent)` context of the epoch root
 /// span the worker spans should hang under. Each shard records one
-/// `reassembly` and one `wal_insert` span covering its accumulated time
-/// in those stages across the whole campaign.
+/// `reassembly`, one `wal_insert` and one `fold` span covering its
+/// accumulated time in those stages across the whole campaign.
 #[derive(Debug, Clone)]
 pub struct IngestTraceContext {
     /// The shared flight recorder spans land in.
@@ -43,10 +43,13 @@ pub struct IngestConfig {
     pub clamp_shards: bool,
     /// Bounded capacity of each shard's message channel.
     pub channel_capacity: usize,
-    /// Completed messages buffered per shard before a batched insert.
+    /// Completed messages buffered per shard before one WAL append +
+    /// flush, after which the batch's rows are folded into the shard's
+    /// `Consolidator`.
     pub batch_size: usize,
     /// When set, shard `i` persists to one flat WAL at
-    /// `<wal_base>.shard<i>`; otherwise partitions are in-memory.
+    /// `<wal_base>.shard<i>` and replays it into its fold on spawn;
+    /// otherwise rows live only in the fold.
     pub wal_base: Option<PathBuf>,
     /// Metric handles the shard workers record into. The default is a
     /// detached bundle (recorded but visible to nobody); a daemon passes
@@ -54,10 +57,10 @@ pub struct IngestConfig {
     /// in its registry snapshots. Cumulative across service instances,
     /// unlike the per-campaign [`ShardStats`].
     pub metrics: IngestMetrics,
-    /// When set, each shard worker records per-epoch `reassembly` and
-    /// `wal_insert` spans into the given flight recorder, parented
-    /// under the daemon's epoch root span. `None` (the default) keeps
-    /// standalone ingest services span-free.
+    /// When set, each shard worker records per-epoch `reassembly`,
+    /// `wal_insert` and `fold` spans into the given flight recorder,
+    /// parented under the daemon's epoch root span. `None` (the default)
+    /// keeps standalone ingest services span-free.
     pub trace: Option<IngestTraceContext>,
 }
 
@@ -137,9 +140,10 @@ pub struct ShardStats {
     pub duplicates: u64,
     /// Chunks with inconsistent totals (protocol violations).
     pub inconsistent: u64,
-    /// Rows stored in this shard's database partition.
+    /// Rows this shard's partition holds: those replayed on spawn plus
+    /// those appended by this service, all of them folded.
     pub db_rows: u64,
-    /// Batched insert calls issued.
+    /// Batched WAL appends issued.
     pub batches: u64,
     /// Times a producer found this shard's channel full and had to wait
     /// (the backpressure signal: a sustained non-zero rate means the
@@ -161,6 +165,16 @@ struct ShardOutput {
     records: Vec<ProcessRecord>,
     consolidate_stats: ConsolidateStats,
     stats: ShardStats,
+}
+
+/// One shard's storage as opened on spawn: where its batches are
+/// appended, and what that partition already held.
+struct Partition {
+    wal: Box<dyn StorageBackend<Record>>,
+    /// Rows replayed from the WAL; they seed the shard's fold and are
+    /// then dropped.
+    replayed: Vec<Record>,
+    replay: ReplayStats,
 }
 
 /// Handle for pushing messages into one shard, with backpressure
@@ -252,9 +266,20 @@ impl IngestService {
         for shard in 0..router.shards() {
             let (tx, rx) = bounded::<Message>(cfg.channel_capacity.max(1));
             let backpressure = Arc::new(Counter::new());
-            let (db, replay) = match cfg.shard_wal_path(shard) {
-                Some(path) => Database::open(&path)?,
-                None => (Database::in_memory(), ReplayStats::default()),
+            let partition = match cfg.shard_wal_path(shard) {
+                Some(path) => {
+                    let (wal, replayed, replay) = WalBackend::<Record>::open(&path)?;
+                    Partition {
+                        wal: Box::new(wal),
+                        replayed,
+                        replay,
+                    }
+                }
+                None => Partition {
+                    wal: Box::new(NullBackend),
+                    replayed: Vec::new(),
+                    replay: ReplayStats::default(),
+                },
             };
             let batch_size = cfg.batch_size.max(1);
             let metrics = cfg.metrics.clone();
@@ -262,7 +287,7 @@ impl IngestService {
             let worker = std::thread::Builder::new()
                 .name(format!("siren-ingest-{shard}"))
                 .spawn(move || {
-                    shard_worker(shard, rx, db, batch_size, requested, replay, metrics, trace)
+                    shard_worker(shard, rx, partition, batch_size, requested, metrics, trace)
                 })?;
             handles.push(ShardHandle {
                 tx,
@@ -308,9 +333,10 @@ impl IngestService {
         self.producer.push_datagram(datagram)
     }
 
-    /// Close the intake, wait for all shards to drain, consolidate each
-    /// partition in parallel (inside the worker threads), and merge the
-    /// shard outputs into consolidation's canonical record order.
+    /// Close the intake, wait for all shards to drain their channels and
+    /// finish their folds (in parallel, inside the worker threads), and
+    /// merge the shard outputs into consolidation's canonical record
+    /// order.
     ///
     /// Every [`IngestProducer`] and [`ShardHandle`] cloned from this
     /// service must be dropped before calling `finish`, or the shard
@@ -415,45 +441,67 @@ impl IngestResult {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn shard_worker(
     shard: usize,
     rx: Receiver<Message>,
-    db: Database,
+    partition: Partition,
     batch_size: usize,
     shards_requested: usize,
-    replay: ReplayStats,
     metrics: IngestMetrics,
     trace: Option<IngestTraceContext>,
 ) -> std::io::Result<ShardOutput> {
+    let Partition {
+        mut wal,
+        replayed,
+        replay,
+    } = partition;
     let mut stats = ShardStats {
         shard,
         shards_requested,
         replayed_records: replay.records,
         replay_tail_bytes: replay.corrupt_tail_bytes,
+        db_rows: replayed.len() as u64,
         ..ShardStats::default()
     };
     metrics.replayed_records.add(replay.records);
     metrics.replay_tail_bytes.add(replay.corrupt_tail_bytes);
-    let mut reasm = Reassembler::new();
-    let mut batch: Vec<CompleteMessage> = Vec::with_capacity(batch_size);
-    // Span accounting: reassembly and WAL-insert time is interleaved
-    // across the whole campaign, so the worker accumulates each and
-    // records one span per stage in the epilogue — per-epoch totals,
-    // not a span per datagram (which would flood the ring).
+    // Span accounting: reassembly, WAL-append and fold time is
+    // interleaved across the whole campaign, so the worker accumulates
+    // each and records one span per stage in the epilogue — per-epoch
+    // totals, not a span per datagram (which would flood the ring).
     let worker_start = Instant::now();
     let mut reassembly_total = Duration::ZERO;
     let mut insert_total = Duration::ZERO;
 
+    // What the partition already holds seeds the fold (a resumed epoch
+    // is a re-feed; the fold is idempotent under duplicate rows).
+    let mut fold = Consolidator::new();
+    for row in &replayed {
+        fold.push_row(row);
+    }
+    drop(replayed);
+    let mut fold_total = worker_start.elapsed();
+
+    let mut reasm = Reassembler::new();
+    let mut batch: Vec<CompleteMessage> = Vec::with_capacity(batch_size);
     let mut insert = |batch: Vec<CompleteMessage>| -> std::io::Result<()> {
-        let rows = batch.len() as u64;
         let start = Instant::now();
-        db.insert_message_batch(batch)?;
+        let rows: Vec<Record> = batch.into_iter().map(Record::from).collect();
+        wal.append_batch(&rows)?;
+        wal.flush()?;
         let elapsed = start.elapsed();
         insert_total += elapsed;
         metrics.batch_insert_ns.record_duration(elapsed);
         metrics.batches.inc();
-        metrics.rows_stored.add(rows);
+        metrics.rows_stored.add(rows.len() as u64);
+        stats.db_rows += rows.len() as u64;
+        stats.batches += 1;
+
+        let start = Instant::now();
+        for row in &rows {
+            fold.push_row(row);
+        }
+        fold_total += start.elapsed();
         Ok(())
     };
 
@@ -474,7 +522,6 @@ fn shard_worker(
             batch.push(done);
             if batch.len() >= batch_size {
                 insert(std::mem::take(&mut batch))?;
-                stats.batches += 1;
             }
         }
     }
@@ -488,30 +535,24 @@ fn shard_worker(
     metrics.inconsistent.add(stats.inconsistent);
     if !batch.is_empty() {
         insert(batch)?;
-        stats.batches += 1;
     }
-    db.flush()?;
-    stats.db_rows = db.len() as u64;
-    if let Some(ctx) = &trace {
-        ctx.buffer.record_past(
-            ctx.trace,
-            Some(ctx.parent),
-            "reassembly",
-            worker_start,
-            reassembly_total,
-        );
-        ctx.buffer.record_past(
-            ctx.trace,
-            Some(ctx.parent),
-            "wal_insert",
-            worker_start,
-            insert_total,
-        );
-    }
+    wal.flush()?;
 
-    // Parallel consolidation: each shard consolidates its own partition
-    // on its own thread before the merge.
-    let consolidated = consolidate(&db);
+    // Each shard finishes its own fold on its own thread before the
+    // merge: only the script pass and the sort are left.
+    let start = Instant::now();
+    let consolidated = fold.finish();
+    fold_total += start.elapsed();
+    if let Some(ctx) = &trace {
+        for (stage, total) in [
+            ("reassembly", reassembly_total),
+            ("wal_insert", insert_total),
+            ("fold", fold_total),
+        ] {
+            ctx.buffer
+                .record_past(ctx.trace, Some(ctx.parent), stage, worker_start, total);
+        }
+    }
     Ok(ShardOutput {
         records: consolidated.records,
         consolidate_stats: consolidated.stats,
@@ -519,8 +560,12 @@ fn shard_worker(
     })
 }
 
-/// K-way merge of per-shard sorted record vectors.
+/// K-way merge of per-shard sorted record vectors. A lone shard's
+/// vector is already the answer and is returned as it is.
 fn merge_sorted(mut shards: Vec<Vec<ProcessRecord>>) -> Vec<ProcessRecord> {
+    if shards.len() == 1 {
+        return shards.pop().expect("one shard");
+    }
     let total: usize = shards.iter().map(Vec::len).sum();
     let mut cursors: Vec<std::vec::IntoIter<ProcessRecord>> =
         shards.drain(..).map(Vec::into_iter).collect();
@@ -677,9 +722,9 @@ mod tests {
         let mut replayed = 0u64;
         for i in 0..3 {
             let path = dir.join(format!("campaign.sirendb.shard{i}"));
-            let (db, stats) = Database::open(&path).unwrap();
+            let (_wal, rows, stats) = WalBackend::<Record>::open(&path).unwrap();
             assert_eq!(stats.corrupt_tail_bytes, 0);
-            replayed += db.len() as u64;
+            replayed += rows.len() as u64;
             std::fs::remove_file(&path).unwrap();
         }
         assert_eq!(replayed, 60);

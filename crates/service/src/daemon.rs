@@ -353,9 +353,9 @@ struct OpenEpoch {
     epoch_tag_mismatches: u64,
     /// The epoch's root span (`epoch.ingest`), opened when the epoch
     /// spawns and finished when the commit lands — every shard-worker
-    /// `reassembly`/`wal_insert` span and the `recv`/`commit`/`publish`
-    /// children hang under it, so one `Traces` query shows the whole
-    /// epoch pipeline.
+    /// `reassembly`/`wal_insert`/`fold` span and the
+    /// `recv`/`commit`/`publish` children hang under it, so one `Traces`
+    /// query shows the whole epoch pipeline.
     span: Span,
     /// When the epoch opened — the start of the `recv` child span
     /// recorded at close (the receive window is over by then).
@@ -603,9 +603,10 @@ impl SirenDaemon {
         }
     }
 
-    /// Close the open epoch: drain and join the ingest shards,
-    /// consolidate, commit the records atomically to the consolidated
-    /// store, and only then delete the epoch's message WALs.
+    /// Close the open epoch: drain and join the ingest shards (whose
+    /// folds only have their script merge and sort left), merge their
+    /// records, commit them atomically to the consolidated store, and
+    /// only then delete the epoch's message WALs.
     pub fn close_epoch(&mut self) -> std::io::Result<EpochSummary> {
         let open = self.open.take().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "no epoch is open")
@@ -635,13 +636,11 @@ impl SirenDaemon {
             opened_at.elapsed(),
         );
         let result = service.finish()?;
+        let records = result.records.len() as u64;
         let epoch_records: Vec<EpochRecord> = result
             .records
-            .iter()
-            .map(|record| EpochRecord {
-                epoch,
-                record: record.clone(),
-            })
+            .into_iter()
+            .map(|record| EpochRecord { epoch, record })
             .collect();
 
         self.commit_records(epoch, epoch_records, Some((span.trace(), span.id())))?;
@@ -665,7 +664,7 @@ impl SirenDaemon {
 
         Ok(EpochSummary {
             epoch,
-            records: result.records.len() as u64,
+            records,
             consolidate_stats: result.stats,
             shard_stats: result.shard_stats,
             sentinels_seen,
@@ -850,7 +849,7 @@ impl SirenDaemon {
     /// Reassembled trace trees from the daemon's span flight recorder —
     /// exactly what a wire `Traces` request returns, read from the same
     /// ring. Covers request traces (plan/fetch/serialize), epoch
-    /// pipelines (`epoch.ingest` with recv/reassembly/wal_insert/
+    /// pipelines (`epoch.ingest` with recv/reassembly/wal_insert/fold/
     /// commit/publish children), and background work (layer merges,
     /// store compaction).
     pub fn traces(&self, filter: &TraceFilter) -> Vec<TraceTree> {

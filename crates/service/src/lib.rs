@@ -11,7 +11,9 @@
 //!   `siren_wire::sentinel_message_with_epoch`). Each epoch runs the
 //!   sharded ingest service with per-shard persistence under the
 //!   daemon's data directory.
-//! * On close, an epoch is consolidated and **committed atomically** to a
+//! * Each shard folds its rows into per-process records as they
+//!   arrive; on close, the folds finish, their records are merged and
+//!   the epoch is **committed atomically** to a
 //!   consolidated-record store (`siren-store`'s segmented backend,
 //!   `append_sealed`): after any crash either the whole epoch is present
 //!   or its raw message WALs still are — never both halves.
@@ -36,8 +38,9 @@
 //!
 //! ```text
 //!            epoch N stream          epoch N close        TCP queries
-//! push(msg) ──▶ IngestService ──▶ consolidate ──▶ EpochRecord segment
-//!                │ shard WALs        (siren-consolidate)   │ (append_sealed)
+//! push(msg) ──▶ IngestService ──▶ fold finish ──▶ EpochRecord segment
+//!                │ shard WALs +      (siren-consolidate)   │ (append_sealed)
+//!                │ folds on arrival                        │
 //!                ▼                                         ▼
 //!        data_dir/epoch-N.*.msgs.shard*       data_dir/consolidated/{seg,run}*
 //!                                                          │ commit = snapshot swap

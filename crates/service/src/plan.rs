@@ -420,7 +420,7 @@ fn for_each_matching<'s>(
 
 impl QuerySnapshot {
     /// Execute `plan` in-process to completion — the same
-    /// [`PlanCursor`] the TCP server streams from, drained into a
+    /// `PlanCursor` the TCP server streams from, drained into a
     /// vector. This is the v2 analogue of the typed v1 snapshot
     /// methods, and the oracle E2E tests compare wire streams against.
     pub fn plan_rows(

@@ -1,4 +1,4 @@
-//! Epoch-shipping replication: the leader-side [`EpochShipper`] that
+//! Epoch-shipping replication: the leader-side `EpochShipper` that
 //! turns committed epochs into checksummed wire frames, and the
 //! follower-side [`Replicator`] loop that applies them.
 //!
@@ -8,7 +8,7 @@
 //! [`SirenClient`] to its leader and issues `SubscribeEpochs{from}`.
 //! The leader pins the query snapshot current at that moment and
 //! streams every committed epoch `>= from` as bounded
-//! [`EpochBatch`](siren_proto::EpochBatch) frames followed by an
+//! [`EpochBatch`] frames followed by an
 //! `EpochCommit` marker whose checksum chains the batches, then closes
 //! the long poll with `SubscribeEnd{next_from, leader_bytes}`. The
 //! follower applies each complete epoch through

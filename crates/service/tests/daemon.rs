@@ -44,16 +44,16 @@ fn campaign_messages(cluster: usize, epoch: u64, loss: f64, seed: u64) -> Vec<Me
 /// The reference: one serial reassembler + database + consolidation.
 fn serial_reference(messages: &[Message]) -> Vec<ProcessRecord> {
     let mut reasm = Reassembler::new();
-    let db = Database::in_memory();
+    let rows = Database::in_memory();
     for msg in messages {
         if msg.header.mtype == MessageType::End {
             continue;
         }
         if let Some(done) = reasm.push(msg.clone()) {
-            db.insert_message(done).unwrap();
+            rows.insert_message(done).unwrap();
         }
     }
-    consolidate(&db).records
+    consolidate(&rows).records
 }
 
 fn temp_data_dir(tag: &str) -> PathBuf {

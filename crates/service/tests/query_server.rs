@@ -398,14 +398,21 @@ fn traced_plan_reassembles_into_one_tree_across_cursor_fetches() {
     );
 
     // The ingest epoch recorded its own pipeline trace: recv,
-    // per-shard reassembly and WAL inserts, then commit and publish,
-    // all under the `epoch.ingest` root.
+    // per-shard reassembly, WAL inserts and fold, then commit and
+    // publish, all under the `epoch.ingest` root.
     let epochs = client
         .traces(TraceFilter::recent().stage("epoch.ingest"))
         .unwrap();
     let epoch_tree = epochs.first().expect("the committed epoch has a trace");
     assert_eq!(epoch_tree.root().unwrap().stage, "epoch.ingest");
-    for stage in ["recv", "reassembly", "wal_insert", "commit", "publish"] {
+    for stage in [
+        "recv",
+        "reassembly",
+        "wal_insert",
+        "fold",
+        "commit",
+        "publish",
+    ] {
         assert!(
             epoch_tree.contains_stage(stage),
             "epoch trace missing {stage}: {epoch_tree:?}"

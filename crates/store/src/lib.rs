@@ -9,7 +9,7 @@
 //!   (message rows, consolidated records, …).
 //! * [`WalWriter`] / [`WalReader`] — checksummed, corruption-tolerant
 //!   frame log (a torn tail costs at most the final record).
-//! * [`StorageBackend`] — the seam the database caches over, with four
+//! * [`StorageBackend`] — the seam a writer appends through, with four
 //!   implementations: [`NullBackend`] (volatile), [`MemoryBackend`]
 //!   (in-memory buffer), [`WalBackend`] (one flat log — the seed's
 //!   behavior), and [`SegmentedBackend`] (the production shape).

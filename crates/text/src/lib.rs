@@ -13,7 +13,7 @@
 //!   `strings` command. `siren.so` fuzzy-hashes "the printable strings
 //!   found in the file" (`ST_H`/`Strings_H`); this module produces that
 //!   byte stream.
-//! * [`derive`] — the "derived and filtered" shared-object labeler behind
+//! * [`mod@derive`] — the "derived and filtered" shared-object labeler behind
 //!   Figure 2: matches a fixed, ordered list of informative substrings
 //!   (`libsci`, `hdf5`, `rocm`, …) against a library path and joins the
 //!   hits into a combination label such as `hdf5-fortran-parallel-cray`.

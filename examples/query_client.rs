@@ -192,7 +192,7 @@ fn main() {
     print!("{}", trace_report(&trees));
 
     // Server-side work leaves its own trees: the epoch ingested above
-    // recorded recv → reassembly → wal_insert → commit → publish.
+    // recorded recv → reassembly → wal_insert → fold → commit → publish.
     let ingest_trees = client
         .traces(TraceFilter::recent().stage("epoch.ingest").limit(1))
         .expect("ingest traces");

@@ -830,3 +830,96 @@ proptest! {
         }
     }
 }
+
+// Crash-resume at the ingest tier: a service respawned on the WAL
+// partitions an earlier run left behind — torn tails included — seeds
+// each shard's fold from what its partition replays, so after a full
+// re-send its output is exactly the fold of what the partitions then
+// hold.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// For n ∈ {1, 2, 3} unclamped shards: push a fuzzed prefix of a
+    /// lossy campaign stream and finish, tear a fuzzed fraction off each
+    /// partition's tail, respawn on the same WALs, re-send the whole
+    /// stream and finish. `records`, `consolidate_stats` and `db_rows`
+    /// equal the reference fold over each partition's replayed rows,
+    /// merged by `record_order`.
+    #[test]
+    fn resumed_ingest_equals_fold_of_its_partitions(
+        campaign_seed in any::<u64>(),
+        loss_seed in any::<u64>(),
+        split_frac in 0.05f64..0.95,
+        tear_frac in 0.0f64..0.5,
+        shards in 1usize..4,
+    ) {
+        use siren_repro::consolidate::record_order;
+        use siren_repro::db::WalBackend;
+        use siren_repro::ingest::{IngestConfig, IngestService};
+        use siren_repro::net::SimConfig;
+
+        let mut cfg = DeploymentConfig::default();
+        cfg.campaign.scale = 0.001;
+        cfg.campaign.seed = campaign_seed;
+        cfg.channel = SimConfig::with_loss(0.05, loss_seed);
+        let stream = simulated_stream(&cfg);
+
+        let dir = std::env::temp_dir().join(format!(
+            "siren-prop-resume-{}-{}",
+            std::process::id(),
+            campaign_seed & 0xFFFF
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let ingest_cfg = IngestConfig {
+            wal_base: Some(dir.join("resume.sirendb")),
+            ..IngestConfig::with_shards_unclamped(shards)
+        };
+        let run = |messages: &[Message]| {
+            let mut svc = IngestService::spawn(ingest_cfg.clone()).unwrap();
+            for msg in messages {
+                svc.push(msg.clone());
+            }
+            svc.finish().unwrap()
+        };
+
+        let split = ((stream.len() as f64) * split_frac) as usize;
+        run(&stream[..split]);
+        for shard in 0..shards {
+            let path = ingest_cfg.shard_wal_path(shard).unwrap();
+            let data = std::fs::read(&path).unwrap();
+            let keep = data.len() - ((data.len() as f64) * tear_frac) as usize;
+            std::fs::write(&path, &data[..keep]).unwrap();
+        }
+        let resumed = run(&stream);
+
+        let mut records = Vec::new();
+        let mut stats = ConsolidateStats::default();
+        let mut db_rows = 0u64;
+        for shard in 0..shards {
+            let path = ingest_cfg.shard_wal_path(shard).unwrap();
+            let (_wal, rows, _) = WalBackend::<Record>::open(&path).unwrap();
+            let db = Database::in_memory();
+            db.insert_batch(rows).unwrap();
+            db_rows += db.len() as u64;
+            let folded = consolidate(&db);
+            records.extend(folded.records);
+            stats.self_rows += folded.stats.self_rows;
+            stats.script_rows += folded.stats.script_rows;
+            stats.merged_scripts += folded.stats.merged_scripts;
+            stats.orphan_scripts += folded.stats.orphan_scripts;
+            stats.processes += folded.stats.processes;
+        }
+        records.sort_by(record_order);
+
+        prop_assert!(resumed.replay_stats().records > 0, "nothing was resumed");
+        prop_assert_eq!(&resumed.records, &records, "shards={}", shards);
+        prop_assert_eq!(resumed.stats, stats);
+        prop_assert_eq!(resumed.db_rows(), db_rows);
+        // Duplicate rows fold idempotently: the records are also those of
+        // one uninterrupted pass over the stream.
+        prop_assert_eq!(&resumed.records, &reference_fold(&stream).records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
