@@ -77,7 +77,8 @@ pub struct CompilerRow {
     pub unique_file_h: u64,
 }
 
-/// Compute Table 6 over user-directory records.
+/// Compute Table 6 over user-directory records. Sorted by descending
+/// users, jobs, processes, distinct binaries; ties by combination.
 pub fn compiler_table(records: &[ProcessRecord]) -> Vec<CompilerRow> {
     struct Acc {
         users: HashSet<String>,
@@ -136,6 +137,7 @@ pub fn compiler_table(records: &[ProcessRecord]) -> Vec<CompilerRow> {
                 a.process_count,
                 a.unique_file_h,
             ))
+            .then_with(|| a.combo.cmp(&b.combo))
     });
     rows
 }
@@ -263,6 +265,40 @@ mod tests {
         assert_eq!(rows[0].combo, vec!["GCC [SUSE]"]);
         assert_eq!(rows[0].unique_users, 2);
         assert_eq!(rows[0].unique_file_h, 2);
+    }
+
+    #[test]
+    fn tied_rows_order_by_combo() {
+        // One user, job, process and FILE_H each: tied on every count.
+        let records = vec![
+            record(
+                1,
+                1,
+                "a",
+                "/users/a/x",
+                Some("3:x:1"),
+                None,
+                Some(vec!["rustc version 1"]),
+                1,
+            ),
+            record(
+                2,
+                2,
+                "b",
+                "/users/b/y",
+                Some("3:x:2"),
+                None,
+                Some(vec!["GCC: (HPE) 12"]),
+                2,
+            ),
+        ];
+        let rows = compiler_table(&records);
+        assert_eq!(rows[0].combo, vec!["GCC [HPE]"]);
+        assert_eq!(rows[1].combo, vec!["rustc"]);
+        let first = render_compilers(&rows);
+        for _ in 0..32 {
+            assert_eq!(render_compilers(&compiler_table(&records)), first);
+        }
     }
 
     #[test]

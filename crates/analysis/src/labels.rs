@@ -73,7 +73,7 @@ pub struct LabelRow {
 }
 
 /// Compute Table 5 over user-directory records. Sorted like the paper:
-/// descending users, jobs, processes, FILE_H.
+/// descending users, jobs, processes, FILE_H; ties by label.
 pub fn label_table(records: &[ProcessRecord], labeler: &Labeler) -> Vec<LabelRow> {
     struct Acc {
         users: HashSet<String>,
@@ -128,6 +128,7 @@ pub fn label_table(records: &[ProcessRecord], labeler: &Labeler) -> Vec<LabelRow
                 a.process_count,
                 a.unique_file_h,
             ))
+            .then_with(|| a.label.cmp(&b.label))
     });
     rows
 }
@@ -229,6 +230,41 @@ mod tests {
         assert_eq!(rows[0].unique_file_h, 2);
         assert_eq!(rows[1].label, UNKNOWN_LABEL);
         assert_eq!(rows[1].process_count, 1);
+    }
+
+    #[test]
+    fn tied_rows_order_by_label() {
+        let l = Labeler::default();
+        // One user, job, process and FILE_H each: tied on every count.
+        let records = vec![
+            record(
+                1,
+                1,
+                "a",
+                "/users/a/lammps/build/lmp",
+                Some("3:a:b"),
+                None,
+                None,
+                1,
+            ),
+            record(
+                2,
+                2,
+                "b",
+                "/users/b/gromacs/bin/gmx",
+                Some("3:c:d"),
+                None,
+                None,
+                2,
+            ),
+        ];
+        let rows = label_table(&records, &l);
+        assert_eq!(rows[0].label, "GROMACS");
+        assert_eq!(rows[1].label, "LAMMPS");
+        let first = render_labels(&rows);
+        for _ in 0..32 {
+            assert_eq!(render_labels(&label_table(&records, &l)), first);
+        }
     }
 
     #[test]

@@ -20,7 +20,9 @@ pub struct InterpreterRow {
     pub unique_script_h: u64,
 }
 
-/// Compute Table 8 over Python-interpreter records.
+/// Compute Table 8 over Python-interpreter records. Sorted by
+/// descending users, jobs, processes, distinct scripts; ties by
+/// interpreter name.
 pub fn interpreter_table(records: &[ProcessRecord]) -> Vec<InterpreterRow> {
     struct Acc {
         users: HashSet<String>,
@@ -76,6 +78,7 @@ pub fn interpreter_table(records: &[ProcessRecord]) -> Vec<InterpreterRow> {
                 a.process_count,
                 a.unique_script_h,
             ))
+            .then_with(|| a.interpreter.cmp(&b.interpreter))
     });
     rows
 }
@@ -243,6 +246,22 @@ mod tests {
         assert_eq!(rows[0].unique_script_h, 2);
         assert_eq!(rows[0].job_count, 2);
         assert_eq!(rows[1].interpreter, "python3.11");
+    }
+
+    #[test]
+    fn tied_rows_order_by_interpreter() {
+        // One user, job, process and SCRIPT_H each: tied on every count.
+        let records = vec![
+            py_rec(1, 1, "a", "/usr/bin/python3.6", "3:s1:x", vec![]),
+            py_rec(2, 2, "b", "/usr/bin/python3.11", "3:s2:x", vec![]),
+        ];
+        let rows = interpreter_table(&records);
+        assert_eq!(rows[0].interpreter, "python3.11");
+        assert_eq!(rows[1].interpreter, "python3.6");
+        let first = render_interpreters(&rows);
+        for _ in 0..32 {
+            assert_eq!(render_interpreters(&interpreter_table(&records)), first);
+        }
     }
 
     #[test]

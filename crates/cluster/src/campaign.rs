@@ -109,11 +109,6 @@ impl Campaign {
         &self.cfg
     }
 
-    /// The system-executable image.
-    pub fn system_image(&self) -> &SystemImage {
-        &self.system
-    }
-
     /// The user-application corpus.
     pub fn corpus(&self) -> &ApplicationCorpus {
         &self.corpus

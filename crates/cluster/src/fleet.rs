@@ -44,14 +44,6 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Fleet of `clusters` clusters over the default base campaign.
-    pub fn with_clusters(clusters: usize) -> Self {
-        Self {
-            clusters,
-            ..Self::default()
-        }
-    }
-
     /// The derived configuration for cluster `k` (`k < clusters`).
     pub fn campaign_config(&self, k: usize) -> CampaignConfig {
         assert!(k < self.clusters, "cluster index {k} out of range");

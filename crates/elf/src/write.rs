@@ -96,12 +96,6 @@ impl ElfBuilder {
         self
     }
 
-    /// Append to the `.text` payload.
-    pub fn append_text(mut self, bytes: &[u8]) -> Self {
-        self.text.extend_from_slice(bytes);
-        self
-    }
-
     /// Set (replace) the `.rodata` payload.
     pub fn rodata(mut self, bytes: &[u8]) -> Self {
         self.rodata = bytes.to_vec();

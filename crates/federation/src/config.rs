@@ -60,9 +60,7 @@ pub struct FleetConfig {
     /// True when the sets partition jobs by ingest's job-hash shard
     /// function, letting the router prune by an exact-job selection.
     pub job_hash_sharded: bool,
-    /// How often the background health checker probes each backend.
-    pub probe_interval: Duration,
-    /// How long a leader must stay dark before the checker repoints
+    /// How long a leader must stay dark before a probe sweep repoints
     /// the set at a caught-up follower (automated promotion).
     pub promote_after: Duration,
     /// Dial/retry policy shared by probes and query fan-out.
@@ -86,7 +84,6 @@ impl FleetConfig {
         Self {
             sets,
             job_hash_sharded: true,
-            probe_interval: Duration::from_millis(500),
             promote_after: Duration::from_secs(5),
             retry: RetryPolicy::default(),
             connect_timeout: Duration::from_secs(5),

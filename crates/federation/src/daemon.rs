@@ -1,7 +1,6 @@
 //! The runnable face of the router: a wire-protocol server on its own
-//! port, so unmodified `SirenClient`s (and `MuxClient`s) federate
-//! transparently — they dial the router exactly as they would dial one
-//! daemon.
+//! port, so unmodified `SirenClient`s federate transparently — they
+//! dial the router exactly as they would dial one daemon.
 //!
 //! The accept loop parks on the reactor's [`Poller`] (the same
 //! notify-to-wake shutdown idiom as the UDP ingest tier); each accepted
@@ -201,8 +200,9 @@ fn serve_conn(mut socket: TcpStream, router: Arc<Router>, stop: Arc<AtomicBool>)
 }
 
 /// The request loop. Requests are served in arrival order, each reply
-/// enveloped under the request's stream id, which is all a `MuxClient`
-/// needs to route it (frames of one reply stay contiguous).
+/// enveloped under the request's stream id (frames of one reply stay
+/// contiguous), so a client pipelining requests under distinct ids can
+/// route every frame to its request.
 fn serve_requests(socket: &mut TcpStream, router: &Router, stop: &AtomicBool) -> io::Result<()> {
     while let Some(payload) = read_frame_ticked(socket, stop)? {
         let Ok(frame) = decode_stream_frame(&payload) else {

@@ -1,18 +1,18 @@
-//! Background backend probing, replica freshness tracking, and
-//! automated follower promotion.
+//! Backend probing, replica freshness tracking, and automated follower
+//! promotion.
 //!
-//! A [`HealthChecker`] thread sweeps the fleet every `probe_interval`:
-//! each member answers a `Status` request (dialed under the shared
-//! [`RetryPolicy`]'s timeout, one attempt per sweep — the sweep cadence
-//! *is* the retry loop), and the `StatusInfo` replication counters
-//! give each follower's epoch lag. The router consults the resulting
-//! [`FleetHealth`] to order read candidates — active leader first,
-//! then caught-up followers, freshest first — and feeds its own dial
-//! outcomes back in, so a query-path failure marks a backend down
-//! without waiting for the next sweep.
+//! A sweep (`Router::probe_now`; nothing runs one on a timer) asks
+//! each member for a `Status` reply (dialed under the shared
+//! [`RetryPolicy`]'s timeout, one attempt per sweep), and the
+//! `StatusInfo` replication counters give each follower's epoch lag.
+//! The router consults the resulting [`FleetHealth`] to order read
+//! candidates — active leader first, then caught-up followers,
+//! freshest first — and feeds its own dial outcomes back in, so a
+//! query-path failure marks a backend down without waiting for the
+//! next sweep.
 //!
 //! When a set's active leader stays dark past `promote_after`, the
-//! checker repoints the set at its freshest caught-up follower
+//! sweep repoints the set at its freshest caught-up follower
 //! (`fed.promotions`) and invokes the promotion hook, through which an
 //! operator (or the failover test) detaches the follower's replicator
 //! so it starts serving as a leader — the ROADMAP's follower→leader
@@ -26,7 +26,6 @@ use parking_lot::Mutex;
 use siren_obs::Timer;
 use siren_proto::SirenClient;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -153,8 +152,7 @@ impl FleetHealth {
 
     /// One synchronous probe sweep over every member: refresh
     /// reachability and lag, update the up/down gauges, and run the
-    /// promotion policy. The checker thread calls this on its cadence;
-    /// tests call it directly for determinism.
+    /// promotion policy.
     pub(crate) fn probe_now(&self, metrics: &RouterMetrics) {
         // Probe outside the lock: a dark backend costs a full connect
         // timeout, and the query path must not block behind it.
@@ -253,57 +251,5 @@ impl FleetHealth {
                 }
             }
         }
-    }
-}
-
-/// The background probe thread. Dropping it (or calling
-/// [`HealthChecker::shutdown`]) stops the sweep loop.
-pub struct HealthChecker {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HealthChecker {
-    pub(crate) fn spawn(health: Arc<FleetHealth>, metrics: Arc<RouterMetrics>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let interval = health.cfg.probe_interval;
-        let handle = std::thread::Builder::new()
-            .name("siren-fed-health".into())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    health.probe_now(&metrics);
-                    // Sleep in short slices so shutdown stays prompt.
-                    let mut remaining = interval;
-                    while !remaining.is_zero() && !thread_stop.load(Ordering::Relaxed) {
-                        let slice = remaining.min(std::time::Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            })
-            .expect("spawn health checker");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop the sweep loop and join the thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HealthChecker {
-    fn drop(&mut self) {
-        self.stop_inner();
     }
 }

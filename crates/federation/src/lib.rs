@@ -11,13 +11,13 @@
 //!   same partition ingest uses), optional host claims, and optional
 //!   epoch claims.
 //! * [`Router`] accepts a [`QueryPlan`], prunes backends by the
-//!   selection's [`ShardKey`], fans the plan out over per-backend
-//!   multiplexed streams, and k-way-merges the ordered replies —
-//!   byte/order-identical to a single daemon ingesting the union
-//!   corpus (see `merge` for the proof sketch). Usage tables are
-//!   summed per user across shards and re-sorted; limits cut top-k
-//!   across backends.
-//! * A background [`HealthChecker`] probes every backend with `Status`
+//!   selection's [`ShardKey`], fans the plan out over one
+//!   connection-owning [`RowStream`] per backend, and k-way-merges the
+//!   ordered replies — byte/order-identical to a single daemon
+//!   ingesting the union corpus (see `merge` for the proof sketch).
+//!   Usage tables are summed per user across shards and re-sorted;
+//!   limits cut top-k across backends.
+//! * [`Router::probe_now`] probes every backend with `Status`
 //!   requests, tracks follower lag from the replication counters,
 //!   orders read candidates freshest-first, and — when a leader stays
 //!   dark past `promote_after` — repoints the set at a caught-up
@@ -36,6 +36,7 @@
 //!
 //! [`QueryPlan`]: siren_proto::QueryPlan
 //! [`ShardKey`]: siren_proto::ShardKey
+//! [`RowStream`]: siren_proto::RowStream
 //! [`QueryWarning`]: siren_proto::QueryWarning
 
 mod config;
@@ -47,6 +48,6 @@ mod router;
 
 pub use config::{FleetConfig, ReplicaSet};
 pub use daemon::RouterDaemon;
-pub use health::{FleetHealth, HealthChecker, PromotionHook};
+pub use health::{FleetHealth, PromotionHook};
 pub use merge::{merge_usage_tables, neighbor_row_cmp, plan_row_cmp, record_row_cmp};
 pub use router::{FederatedStream, Router, RouterError};

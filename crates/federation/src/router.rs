@@ -1,16 +1,16 @@
 //! The scatter-gather core: prune backends by the plan's selection,
-//! fan the plan out over per-backend multiplexed streams, and merge
-//! the ordered replies into one stream that is byte/order-identical to
-//! a single daemon holding the union corpus.
+//! fan the plan out over one connection-owning row stream per backend,
+//! and merge the ordered replies into one stream that is
+//! byte/order-identical to a single daemon holding the union corpus.
 
 use crate::config::FleetConfig;
-use crate::health::{FleetHealth, HealthChecker};
+use crate::health::FleetHealth;
 use crate::merge::{merge_usage_tables, plan_row_cmp};
 use crate::metrics::RouterMetrics;
 use siren_analysis::UsageRow;
 use siren_obs::{Registry, Span, Timer, TraceId, TraceStore};
 use siren_proto::{
-    MuxStream, Order, PlanRow, PlanSource, QueryError, QueryPlan, QueryWarning, SirenClient,
+    Order, PlanRow, PlanSource, QueryError, QueryPlan, QueryWarning, RowStream, SirenClient,
     StatusInfo,
 };
 use siren_wire::ShardRouter;
@@ -95,16 +95,11 @@ impl Router {
         Arc::clone(&self.health)
     }
 
-    /// Start the background health checker on this fleet's
-    /// `probe_interval`. Keep the handle alive; dropping it stops the
-    /// probes.
-    pub fn start_health_checker(&self) -> HealthChecker {
-        HealthChecker::spawn(Arc::clone(&self.health), Arc::clone(&self.metrics))
-    }
-
-    /// One synchronous probe sweep over every backend — what the
-    /// background checker runs on its cadence, callable directly for
-    /// deterministic tests and CLI health checks.
+    /// One synchronous probe sweep over every backend: refreshes
+    /// reachability and follower lag, and promotes a caught-up follower
+    /// where a leader has stayed dark past `promote_after`. Queries
+    /// feed their own dial outcomes into the same view; a sweep is how
+    /// an operator (or a test) refreshes it deliberately.
     pub fn probe_now(&self) {
         self.health.probe_now(&self.metrics);
     }
@@ -282,7 +277,7 @@ struct BackendStream {
     retry: siren_proto::RetryPolicy,
     timeout: std::time::Duration,
     candidates: VecDeque<SocketAddr>,
-    current: Option<MuxStream>,
+    current: Option<RowStream<SirenClient>>,
     current_addr: Option<SocketAddr>,
     emitted: u64,
     dead: bool,
@@ -328,8 +323,7 @@ impl BackendStream {
         }
         while let Some(addr) = self.candidates.pop_front() {
             let attempt = SirenClient::connect_with_retry(addr, self.timeout, &self.retry)
-                .and_then(SirenClient::into_mux)
-                .and_then(|mux| mux.query_traced(self.plan.clone(), self.trace));
+                .and_then(|client| RowStream::open(client, self.plan.clone(), Some(self.trace)));
             match attempt {
                 Ok(mut stream) => {
                     // Re-entry after a failover: drop the prefix the

@@ -159,11 +159,6 @@ impl FuzzyIndex {
         self.entries == 0
     }
 
-    /// Distinct posting keys held (an index-size diagnostic).
-    pub fn gram_keys(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Ascending ids of every entry that could score above 0 against
     /// `baseline` — a superset, pruned without any edit-distance work.
     ///

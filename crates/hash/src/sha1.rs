@@ -156,11 +156,6 @@ impl Sha1 {
         self.total_len = saved;
         debug_assert_eq!(self.buf_len, 56);
     }
-
-    /// Digest as 40 hex chars.
-    pub fn digest_hex(&self) -> String {
-        crate::encode::to_hex(&self.digest())
-    }
 }
 
 #[cfg(test)]

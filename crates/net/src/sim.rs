@@ -146,12 +146,6 @@ impl SimReceiver {
         self.state.lock().queue.pop_front()
     }
 
-    /// Pop and decode the next datagram. `Some(Err(..))` when a datagram
-    /// was delivered but failed protocol decoding.
-    pub fn try_recv_message(&self) -> Option<Result<Message, siren_wire::WireError>> {
-        self.try_recv().map(|d| Message::decode(&d))
-    }
-
     /// Drain every delivered datagram, decoding; returns the messages and
     /// the count of undecodable datagrams.
     pub fn drain_messages(&self) -> (Vec<Message>, u64) {

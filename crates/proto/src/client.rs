@@ -1,19 +1,28 @@
 //! The blocking query client: one TCP connection, hello-checked on
 //! connect, with typed methods mirroring the [`QueryRequest`] variants
 //! and the composable [`QueryPlan`] API returning a lazy [`RowStream`].
+//!
+//! One exchange is in flight per connection at a time. Any failure
+//! that can leave the socket off a frame boundary — a transport error
+//! (timeouts included), an undecodable envelope or body, a reply
+//! tagged for another stream, a connection-level (stream 0) error —
+//! **poisons** the client: every later call fails fast with a
+//! "reconnect" error instead of reading a stale reply as its own. A
+//! typed [`QueryError`] on the request's own stream arrives on a frame
+//! boundary and leaves the client usable.
 
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::message::{
     decode_hello_ack, encode_hello, fold_epoch_checksum, NeighborRow, QueryError, QueryRequest,
     QueryResponse, QueryWarning, RecordRow, Selection, StatusInfo,
 };
-use crate::mux::MuxClient;
 use crate::plan::{PlanRow, QueryPlan};
 use crate::stream::{decode_stream_frame, encode_stream_frame, CONNECTION_STREAM};
 use crate::{PROTOCOL_VERSION, PROTOCOL_VERSION_MIN};
 use siren_analysis::LibraryUsageRow;
 use siren_consolidate::ProcessRecord;
 use siren_obs::{TraceFilter, TraceId, TraceTree};
+use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -129,9 +138,10 @@ impl From<std::io::Error> for ClientError {
 #[derive(Debug)]
 pub struct SirenClient {
     stream: TcpStream,
-    /// Set when a stream was abandoned mid-reply and the connection
-    /// could not be drained back to a frame boundary — every later
-    /// call would misparse, so they are refused instead.
+    /// Set when the connection may be off a frame boundary (a failed
+    /// read or write, an off-protocol frame, a stream abandoned and not
+    /// drained) — every later call would misparse, so they are refused
+    /// instead.
     poisoned: bool,
     /// Stream id of the last request sent; replies must echo it (or
     /// [`CONNECTION_STREAM`] for connection-level errors).
@@ -210,21 +220,10 @@ impl SirenClient {
         self.accept_compressed = accept;
     }
 
-    /// Convert this connection into a [`MuxClient`] able to run many
-    /// interleaved cursor streams at once.
-    pub fn into_mux(self) -> Result<MuxClient, ClientError> {
-        self.check_usable()?;
-        Ok(MuxClient::from_parts(
-            self.stream,
-            self.stream_seq,
-            self.accept_compressed,
-        ))
-    }
-
     fn check_usable(&self) -> Result<(), ClientError> {
         if self.poisoned {
             return Err(ClientError::Protocol(
-                "connection abandoned mid-stream; reconnect".into(),
+                "connection left off a frame boundary by an earlier failure; reconnect".into(),
             ));
         }
         Ok(())
@@ -247,22 +246,43 @@ impl SirenClient {
             self.stream_seq = 1;
         }
         let envelope = encode_stream_frame(self.stream_seq, &body, self.accept_compressed, None);
-        write_frame(&mut self.stream, &envelope)?;
-        Ok(())
+        // A partial write leaves the server mid-frame.
+        write_frame(&mut self.stream, &envelope).map_err(|err| self.poison(err.into()))
     }
 
+    /// Read the next reply frame of the current exchange. Every error
+    /// returned poisons the client: none of them leaves the connection
+    /// at a known frame boundary of this exchange.
     fn recv(&mut self) -> Result<QueryResponse, ClientError> {
+        self.read_reply().map_err(|err| self.poison(err))
+    }
+
+    fn read_reply(&mut self) -> Result<QueryResponse, ClientError> {
         let payload = read_frame(&mut self.stream)?;
         let frame = decode_stream_frame(&payload)
             .map_err(|err| ClientError::Protocol(format!("bad stream envelope: {err}")))?;
-        if frame.stream_id != self.stream_seq && frame.stream_id != CONNECTION_STREAM {
-            return Err(ClientError::Protocol(format!(
-                "reply tagged stream {} while awaiting {}",
-                frame.stream_id, self.stream_seq
-            )));
+        let response = QueryResponse::decode(&frame.body)
+            .map_err(|err| ClientError::Protocol(format!("undecodable response: {err}")))?;
+        if frame.stream_id == self.stream_seq {
+            return Ok(response);
         }
-        QueryResponse::decode(&frame.body)
-            .map_err(|err| ClientError::Protocol(format!("undecodable response: {err}")))
+        if frame.stream_id == CONNECTION_STREAM {
+            // Connection-scoped fault (deadline, unreadable envelope):
+            // the server closes after this frame.
+            return Err(match response {
+                QueryResponse::Error(err) => ClientError::Server(err),
+                other => unexpected("connection-level Error", &other),
+            });
+        }
+        Err(ClientError::Protocol(format!(
+            "reply tagged stream {} while awaiting {}",
+            frame.stream_id, self.stream_seq
+        )))
+    }
+
+    fn poison(&mut self, err: ClientError) -> ClientError {
+        self.poisoned = true;
+        err
     }
 
     /// Issue one request and decode the typed response. Exposed so
@@ -373,8 +393,8 @@ impl SirenClient {
     /// before a large answer finishes, and pages beyond the first are
     /// fetched through the server-side cursor only as the iterator is
     /// advanced. Dropping the stream early closes the cursor.
-    pub fn query(&mut self, plan: QueryPlan) -> Result<RowStream<'_>, ClientError> {
-        self.query_inner(plan, None)
+    pub fn query(&mut self, plan: QueryPlan) -> Result<RowStream<&mut Self>, ClientError> {
+        RowStream::open(self, plan, None)
     }
 
     /// Like [`SirenClient::query`], but propagating `trace` as the
@@ -386,27 +406,8 @@ impl SirenClient {
         &mut self,
         plan: QueryPlan,
         trace: TraceId,
-    ) -> Result<RowStream<'_>, ClientError> {
-        self.query_inner(plan, Some(trace))
-    }
-
-    fn query_inner(
-        &mut self,
-        plan: QueryPlan,
-        trace: Option<TraceId>,
-    ) -> Result<RowStream<'_>, ClientError> {
-        self.check_usable()?;
-        plan.validate().map_err(ClientError::Server)?;
-        self.send_traced(&QueryRequest::Plan(plan), trace)?;
-        Ok(RowStream {
-            client: self,
-            buffer: VecDeque::new(),
-            cursor: None,
-            mid_reply: true,
-            done: false,
-            failed: false,
-            warnings: Vec::new(),
-        })
+    ) -> Result<RowStream<&mut Self>, ClientError> {
+        RowStream::open(self, plan, Some(trace))
     }
 
     /// Subscribe to the daemon's committed epochs from `from_epoch`
@@ -437,56 +438,84 @@ impl SirenClient {
 
 /// A lazy iterator over a plan's answer stream. Batch frames are read
 /// from the socket (and follow-up pages fetched through the server-side
-/// cursor) only as rows are consumed; the borrow on the client keeps
-/// the connection exclusive until the stream is finished or dropped.
+/// cursor) only as rows are consumed. The stream either borrows its
+/// client (`RowStream<&mut SirenClient>`, from [`SirenClient::query`])
+/// or owns it (`RowStream<SirenClient>`, from [`RowStream::open`]);
+/// either way the connection is exclusive to it until it is finished
+/// or dropped.
 ///
 /// Dropping an unfinished stream drains the in-flight reply to the
 /// frame boundary and closes the cursor, leaving the connection usable;
 /// if draining fails the client is poisoned and refuses further calls.
 #[derive(Debug)]
-pub struct RowStream<'c> {
-    client: &'c mut SirenClient,
+pub struct RowStream<C: BorrowMut<SirenClient>> {
+    client: C,
     buffer: VecDeque<PlanRow>,
     /// Cursor parked on the server, once a `StreamEnd` carried one.
     cursor: Option<u64>,
     /// Frames of the current reply are still incoming.
     mid_reply: bool,
     done: bool,
-    failed: bool,
     /// Degradation notices absorbed from the stream, in arrival order.
     warnings: Vec<QueryWarning>,
 }
 
-impl RowStream<'_> {
+impl<C: BorrowMut<SirenClient>> RowStream<C> {
+    /// Send `plan` (stamped with `trace`, if any) over `client` and
+    /// return its row stream. Pass `&mut client` to keep the connection
+    /// for later calls, or the client itself to hand the stream the
+    /// connection for its whole life.
+    pub fn open(
+        mut client: C,
+        plan: QueryPlan,
+        trace: Option<TraceId>,
+    ) -> Result<Self, ClientError> {
+        let conn = client.borrow_mut();
+        conn.check_usable()?;
+        plan.validate().map_err(ClientError::Server)?;
+        conn.send_traced(&QueryRequest::Plan(plan), trace)?;
+        Ok(Self {
+            client,
+            buffer: VecDeque::new(),
+            cursor: None,
+            mid_reply: true,
+            done: false,
+            warnings: Vec::new(),
+        })
+    }
+
     /// Read frames until the buffer has rows, the reply ends, or the
-    /// stream completes.
+    /// stream completes. Any error ends the stream; only a typed server
+    /// error leaves the client usable.
     fn fill(&mut self) -> Result<(), ClientError> {
-        loop {
-            if !self.buffer.is_empty() || self.done {
-                return Ok(());
-            }
+        let client = self.client.borrow_mut();
+        while self.buffer.is_empty() && !self.done {
             if !self.mid_reply {
-                match self.cursor.take() {
-                    Some(cursor) => {
-                        self.client.send(&QueryRequest::FetchCursor { cursor })?;
-                        self.mid_reply = true;
-                    }
-                    None => {
-                        self.done = true;
-                        return Ok(());
-                    }
+                let Some(cursor) = self.cursor.take() else {
+                    self.done = true;
+                    break;
+                };
+                self.mid_reply = true;
+                if let Err(err) = client.send(&QueryRequest::FetchCursor { cursor }) {
+                    self.done = true;
+                    return Err(err);
                 }
             }
-            match self.client.recv()? {
+            let response = match client.recv() {
+                Ok(response) => response,
+                Err(err) => {
+                    self.done = true;
+                    return Err(err);
+                }
+            };
+            match response {
                 QueryResponse::Batch(batch) => {
                     self.buffer.extend(batch.into_rows());
                 }
                 QueryResponse::StreamEnd { cursor } => {
                     self.mid_reply = false;
                     self.cursor = cursor;
-                    if cursor.is_none() {
-                        self.done = true;
-                    }
+                    self.done = cursor.is_none();
                 }
                 QueryResponse::Warning(warning) => {
                     // Non-fatal: record the degradation and keep
@@ -501,28 +530,20 @@ impl RowStream<'_> {
                     return Err(ClientError::Server(err));
                 }
                 other => {
-                    // Off-protocol frame mid-reply: the stream can no
-                    // longer be trusted. Terminate iteration too —
-                    // re-entering on a desynced connection could
-                    // misparse unrelated frames as rows of this plan.
-                    self.failed = true;
+                    // Off-protocol frame mid-reply: re-entering on a
+                    // desynced connection could misparse unrelated
+                    // frames as rows of this plan.
                     self.done = true;
-                    return Err(unexpected("Batch or StreamEnd", &other));
+                    return Err(client.poison(unexpected("Batch or StreamEnd", &other)));
                 }
             }
         }
+        Ok(())
     }
 
     /// Drain the remaining rows into a vector.
-    pub fn collect_rows(mut self) -> Result<Vec<PlanRow>, ClientError> {
-        let mut rows = Vec::new();
-        loop {
-            self.fill()?;
-            if self.buffer.is_empty() {
-                return Ok(rows);
-            }
-            rows.extend(self.buffer.drain(..));
-        }
+    pub fn collect_rows(self) -> Result<Vec<PlanRow>, ClientError> {
+        self.collect_rows_warned().map(|(rows, _)| rows)
     }
 
     /// Drain the remaining rows, also returning any degradation
@@ -552,16 +573,13 @@ impl RowStream<'_> {
     }
 }
 
-impl Iterator for RowStream<'_> {
+impl<C: BorrowMut<SirenClient>> Iterator for RowStream<C> {
     type Item = Result<PlanRow, ClientError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(row) = self.buffer.pop_front() {
             return Some(Ok(row));
         }
-        // `fill` tracks connection health itself: a typed server error
-        // arrives on a frame boundary and leaves the connection usable
-        // (only desyncs set `failed`), so it must not poison the client.
         if let Err(err) = self.fill() {
             return Some(Err(err));
         }
@@ -569,49 +587,41 @@ impl Iterator for RowStream<'_> {
     }
 }
 
-impl Drop for RowStream<'_> {
+impl<C: BorrowMut<SirenClient>> Drop for RowStream<C> {
     fn drop(&mut self) {
+        let client = self.client.borrow_mut();
         // Resync the connection: finish reading the in-flight reply (it
         // is bounded by the server's page cap), then release the parked
         // cursor so the server frees its pinned snapshot promptly.
-        if self.mid_reply && !self.failed {
-            // Generous bound: a reply is at most page_rows/batch "rows"
-            // frames plus the terminator; a server violating that is
-            // already off-protocol.
-            for _ in 0..100_000 {
-                match self.client.recv() {
-                    Ok(QueryResponse::Batch(_) | QueryResponse::Warning(_)) => continue,
-                    Ok(QueryResponse::StreamEnd { cursor }) => {
-                        self.mid_reply = false;
-                        self.cursor = cursor;
-                        break;
-                    }
-                    Ok(QueryResponse::Error(_)) => {
-                        self.mid_reply = false;
-                        break;
-                    }
-                    _ => {
-                        self.failed = true;
-                        break;
-                    }
+        // Generous bound: a reply is at most page_rows/batch "rows"
+        // frames plus the terminator; a server violating that is
+        // already off-protocol.
+        for _ in 0..100_000 {
+            if !self.mid_reply || client.poisoned {
+                break;
+            }
+            match client.recv() {
+                Ok(QueryResponse::Batch(_) | QueryResponse::Warning(_)) => continue,
+                Ok(QueryResponse::StreamEnd { cursor }) => {
+                    self.mid_reply = false;
+                    self.cursor = cursor;
                 }
+                Ok(QueryResponse::Error(_)) => self.mid_reply = false,
+                Ok(_) | Err(_) => client.poisoned = true,
             }
         }
-        if self.failed || self.mid_reply {
-            self.client.poisoned = true;
+        if self.mid_reply || client.poisoned {
+            client.poisoned = true;
             return;
         }
         if let Some(cursor) = self.cursor.take() {
-            let ok = self
-                .client
-                .send(&QueryRequest::CloseCursor { cursor })
-                .is_ok()
+            let ok = client.send(&QueryRequest::CloseCursor { cursor }).is_ok()
                 && matches!(
-                    self.client.recv(),
+                    client.recv(),
                     Ok(QueryResponse::StreamEnd { cursor: None } | QueryResponse::Error(_))
                 );
             if !ok {
-                self.client.poisoned = true;
+                client.poisoned = true;
             }
         }
     }

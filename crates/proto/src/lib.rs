@@ -36,12 +36,15 @@
 //! Every frame after the hello is a **stream envelope**
 //! (`[stream id: u32][flags: u8][body]` — see [`stream`]) around one
 //! [`QueryRequest`] (client → server) or [`QueryResponse`] (server →
-//! client) body. The stream id lets several cursor streams and
-//! single-frame requests interleave over one connection ([`MuxClient`] /
-//! [`MuxStream`]; the sequential [`SirenClient`] uses a fresh id per
-//! exchange), and the flags negotiate per-request LZ compression of
-//! large reply bodies ([`STREAM_FLAG_ACCEPT_COMPRESSED`]). Every
-//! request body ends in a trace id (`0` = untraced).
+//! client) body. The server echoes the request's stream id on every
+//! frame of its reply, so replies to requests pipelined under distinct
+//! ids may interleave on one connection; [`SirenClient`] keeps one
+//! exchange in flight and tags each with a fresh id, which lets it
+//! detect — and refuse to parse — a reply meant for an exchange it
+//! gave up on. A plan's rows arrive through a [`RowStream`] that
+//! borrows or owns its client. The flags negotiate per-request LZ
+//! compression of large reply bodies ([`STREAM_FLAG_ACCEPT_COMPRESSED`]).
+//! Every request body ends in a trace id (`0` = untraced).
 //!
 //! ## Requests
 //!
@@ -67,7 +70,6 @@
 pub mod client;
 pub mod frame;
 pub mod message;
-pub mod mux;
 pub mod plan;
 pub mod stream;
 
@@ -78,7 +80,6 @@ pub use message::{
     EpochBatch, NeighborRow, QueryError, QueryRequest, QueryResponse, QueryWarning, RecordRow,
     Selection, ShardKey, StatusInfo, HELLO_MAGIC,
 };
-pub use mux::{MuxClient, MuxStream};
 pub use plan::{
     Order, PlanRow, PlanSource, Projection, QueryPlan, RowBatch, DEFAULT_BATCH_ROWS,
     DEFAULT_PAGE_ROWS, MAX_BATCH_ROWS, MAX_PAGE_ROWS,

@@ -155,11 +155,6 @@ impl Selection {
         self.time_range
     }
 
-    /// The job restriction, if any.
-    pub fn job_filter(&self) -> Option<u64> {
-        self.job
-    }
-
     /// The inclusive epoch-slice restriction, if any.
     pub fn epoch_slice(&self) -> Option<(u64, u64)> {
         self.epoch_range

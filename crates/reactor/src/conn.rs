@@ -179,11 +179,6 @@ impl FramedConn {
         self.wbuf.extend_from_slice(&encode_frame(payload));
     }
 
-    /// Queue raw bytes (the fixed-layout handshake ack).
-    pub fn queue_raw(&mut self, bytes: &[u8]) {
-        self.wbuf.extend_from_slice(bytes);
-    }
-
     /// Write as much queued output as the socket accepts. Returns
     /// `true` when the outbound buffer drained completely.
     pub fn flush(&mut self) -> io::Result<bool> {

@@ -1,21 +1,23 @@
-//! Reactor serving-tier E2E: hundreds of concurrent TCP connections,
-//! each running interleaved multiplexed (v3) cursor streams, against a
-//! live daemon. Every stream's rows must be byte-identical to the same
-//! plan executed in-process on the same snapshot — multiplexing,
-//! server-side prefetch, and frame compression are transparent to
-//! results. A second suite drives hostile v3 envelopes and pins the
-//! connection-scoped (stream 0) error behavior.
+//! Reactor serving-tier E2E: hundreds of concurrent TCP connections
+//! against a live daemon, and two cursor streams multiplexed over one
+//! raw connection. Every stream's rows must be byte-identical to the
+//! same plan executed in-process on the same snapshot — stream-id
+//! multiplexing, server-side prefetch, and frame compression are
+//! transparent to results. A second suite drives hostile envelopes and
+//! pins the connection-scoped (stream 0) error behavior.
 
 use siren_cluster::{Campaign, CampaignConfig, FleetConfig};
 use siren_collector::{Collector, PolicyMode};
 use siren_net::{Sender as _, SimChannel, SimConfig, UdpReceiver, UdpSender};
 use siren_proto::{
-    decode_stream_frame, encode_hello, read_frame, write_frame, FrameError, PlanRow, QueryError,
-    QueryPlan, QueryResponse, SirenClient, CONNECTION_STREAM, PROTOCOL_VERSION,
+    decode_stream_frame, encode_hello, encode_stream_frame, read_frame, write_frame, FrameError,
+    PlanRow, QueryError, QueryPlan, QueryRequest, QueryResponse, SirenClient, CONNECTION_STREAM,
+    PROTOCOL_VERSION,
 };
 use siren_service::{ServiceConfig, SirenDaemon};
 use siren_store::SegmentedOptions;
 use siren_wire::Message;
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -87,11 +89,11 @@ fn daemon_with_data(tag: &str) -> SirenDaemon {
 }
 
 /// The acceptance scenario: 256 connections open simultaneously, each
-/// interleaving two multiplexed cursor streams with different paging
-/// shapes (so their FetchCursor cadences collide on the wire), a
-/// quarter of them with compressed replies enabled. Every stream must
-/// reproduce the in-process oracle exactly, and every parked cursor
-/// must be retired by the time the streams are drained.
+/// draining two plans with different paging shapes (so their
+/// FetchCursor cadences collide across connections), a quarter of them
+/// with compressed replies enabled. Every stream must reproduce the
+/// in-process oracle exactly, and every parked cursor must be retired
+/// by the time the streams are drained.
 #[test]
 fn hundreds_of_multiplexed_connections_match_the_oracle() {
     let daemon = daemon_with_data("mux");
@@ -99,7 +101,7 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
     let snapshot = daemon.snapshot();
 
     // Small batches and mismatched page sizes force multi-page
-    // streams: cursors park, prefetch fires, stream ids interleave.
+    // streams: cursors park and prefetch fires.
     let plan_a = QueryPlan::records().batch_rows(3).page_rows(6);
     let plan_b = QueryPlan::usage_table().batch_rows(2).page_rows(4);
     let expected_a = snapshot.plan_rows(plan_a.clone()).unwrap();
@@ -123,37 +125,21 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
             std::thread::spawn(move || {
                 // Open this thread's connections first, then rendezvous:
                 // all 256 are registered with the reactor at once.
-                let muxes: Vec<_> = (0..per_thread)
+                let mut clients: Vec<_> = (0..per_thread)
                     .map(|c| {
                         let mut client = SirenClient::connect(qaddr).expect("connect");
                         if (t * per_thread + c).is_multiple_of(4) {
                             client.set_accept_compressed(true);
                         }
-                        client.into_mux().expect("usable connection")
+                        client
                     })
                     .collect();
                 barrier.wait();
-                for mux in &muxes {
-                    let mut a = mux.query(plan_a.clone()).expect("open stream a");
-                    let mut b = mux.query(plan_b.clone()).expect("open stream b");
-                    assert_ne!(a.stream_id(), b.stream_id());
-                    // Interleave: one row from each in turn, so both
-                    // streams are mid-flight on the connection at once.
-                    let mut rows_a: Vec<PlanRow> = Vec::new();
-                    let mut rows_b: Vec<PlanRow> = Vec::new();
-                    loop {
-                        let next_a = a.next().transpose().expect("stream a row");
-                        let next_b = b.next().transpose().expect("stream b row");
-                        if let Some(row) = next_a {
-                            rows_a.push(row);
-                        }
-                        if let Some(row) = next_b {
-                            rows_b.push(row);
-                        }
-                        if a.is_done() && b.is_done() {
-                            break;
-                        }
-                    }
+                for client in &mut clients {
+                    let rows_a = client.query(plan_a.clone()).expect("open stream a");
+                    let rows_a = rows_a.collect_rows().expect("stream a rows");
+                    let rows_b = client.query(plan_b.clone()).expect("open stream b");
+                    let rows_b = rows_b.collect_rows().expect("stream b rows");
                     assert_eq!(rows_a, expected_a, "stream a diverged from oracle");
                     assert_eq!(rows_b, expected_b, "stream b diverged from oracle");
                 }
@@ -164,7 +150,7 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
         })
         .collect();
     for worker in workers {
-        worker.join().expect("mux worker");
+        worker.join().expect("client worker");
     }
 
     // Cursor hygiene: every stream ran to exhaustion, so nothing may
@@ -175,8 +161,7 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
         "drained streams must retire cursors"
     );
 
-    // The gauge saw all connections alive at once, and compression
-    // actually engaged for the opted-in quarter.
+    // The gauge saw all connections alive at once.
     let mut probe = SirenClient::connect(qaddr).unwrap();
     let m = probe.metrics().unwrap();
     let gauge = m.gauge("net.active_connections").unwrap();
@@ -187,6 +172,95 @@ fn hundreds_of_multiplexed_connections_match_the_oracle() {
         CONNECTIONS
     );
     assert!(m.counter("query.negotiated_v3") >= CONNECTIONS as u64);
+}
+
+/// Two plans pipelined on one raw connection under stream ids 1 and 2:
+/// the server answers both at once, interleaving their frames by id
+/// (a frame of one reply lands between two frames of the other), and
+/// each stream's cursor continues under its own id. Demultiplexed by
+/// id, both reproduce the oracle, and no cursor outlives them.
+#[test]
+fn two_streams_on_one_connection_interleave_by_stream_id() {
+    let daemon = daemon_with_data("interleave");
+    let qaddr = daemon.query_addr().unwrap();
+    let snapshot = daemon.snapshot();
+
+    let plans = [
+        QueryPlan::records().batch_rows(3).page_rows(6),
+        QueryPlan::usage_table().batch_rows(2).page_rows(4),
+    ];
+    let expected: Vec<Vec<PlanRow>> = plans
+        .iter()
+        .map(|plan| snapshot.plan_rows(plan.clone()).unwrap())
+        .collect();
+    // The corpus arrives over UDP, so its size varies with loss; the
+    // records plan must still page, so stream 1 resumes its cursor.
+    assert!(
+        expected[0].len() > 6,
+        "records plan must span pages (got {} rows)",
+        expected[0].len()
+    );
+    assert!(!expected[1].is_empty(), "usage plan must produce rows");
+
+    let mut stream = TcpStream::connect(qaddr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(
+        &mut stream,
+        &encode_hello(PROTOCOL_VERSION, PROTOCOL_VERSION),
+    )
+    .unwrap();
+    let ack = read_frame(&mut stream).unwrap();
+    assert_eq!(siren_proto::decode_hello_ack(&ack), Some(PROTOCOL_VERSION));
+
+    let framed = |id: u32, request: QueryRequest| {
+        siren_store::encode_frame(&encode_stream_frame(id, &request.encode(), false, None))
+    };
+    // Both plans in one write, so the server holds both replies at once.
+    let mut pipelined = framed(1, QueryRequest::Plan(plans[0].clone()));
+    pipelined.extend(framed(2, QueryRequest::Plan(plans[1].clone())));
+    stream.write_all(&pipelined).unwrap();
+
+    let mut rows: [Vec<PlanRow>; 2] = Default::default();
+    let mut open = [true, true];
+    // A stream is mid-reply between the first frame of a page and its
+    // StreamEnd; a frame of the other stream arriving then interleaves.
+    let mut mid_reply = [false, false];
+    let mut interleaved = 0;
+    while open.iter().any(|&o| o) {
+        let frame = decode_stream_frame(&read_frame(&mut stream).unwrap()).unwrap();
+        let id = frame.stream_id;
+        assert!(id == 1 || id == 2, "reply tagged unknown stream {id}");
+        let slot = (id - 1) as usize;
+        if mid_reply[1 - slot] {
+            interleaved += 1;
+        }
+        mid_reply[slot] = true;
+        match QueryResponse::decode(&frame.body).unwrap() {
+            QueryResponse::Batch(batch) => rows[slot].extend(batch.into_rows()),
+            QueryResponse::StreamEnd {
+                cursor: Some(cursor),
+            } => {
+                mid_reply[slot] = false;
+                let fetch = framed(id, QueryRequest::FetchCursor { cursor });
+                stream.write_all(&fetch).unwrap();
+            }
+            QueryResponse::StreamEnd { cursor: None } => {
+                mid_reply[slot] = false;
+                open[slot] = false;
+            }
+            other => panic!("stream {id}: unexpected {other:?}"),
+        }
+    }
+
+    assert_eq!(rows[0], expected[0], "stream 1 diverged from oracle");
+    assert_eq!(rows[1], expected[1], "stream 2 diverged from oracle");
+    assert!(
+        interleaved > 0,
+        "the two replies must interleave on the wire"
+    );
+    assert_eq!(daemon.open_cursors(), 0, "both cursors must be retired");
 }
 
 /// Compression is negotiated per request and transparent: the same
@@ -214,40 +288,6 @@ fn compressed_replies_are_byte_identical_and_counted() {
         "a large batch reply must have been compressed"
     );
     assert!(m.counter("stream.compressed_bytes_saved") > 0);
-}
-
-/// Dropping a multiplexed stream mid-page must drain it to its frame
-/// boundary and synchronously close the parked cursor — the shared
-/// connection stays usable and the cursor table ends empty.
-#[test]
-fn dropped_mux_stream_closes_its_cursor_and_connection_survives() {
-    let daemon = daemon_with_data("drop");
-    let qaddr = daemon.query_addr().unwrap();
-    let snapshot = daemon.snapshot();
-
-    let plan = QueryPlan::records().batch_rows(2).page_rows(4);
-    let expected = snapshot.plan_rows(plan.clone()).unwrap();
-    assert!(expected.len() > 8, "need a multi-page plan");
-
-    let client = SirenClient::connect(qaddr).unwrap().into_mux().unwrap();
-    {
-        let mut doomed = client.query(plan.clone()).expect("open stream");
-        let first = doomed.next().expect("first row").expect("row ok");
-        assert_eq!(first, expected[0]);
-        // Dropped here, mid-page with a cursor parked server-side.
-    }
-    assert_eq!(
-        daemon.open_cursors(),
-        0,
-        "dropping the stream must close its parked cursor"
-    );
-    // Same handle still streams correctly after the abandoned sibling.
-    let rows = client
-        .query(plan)
-        .expect("reuse connection")
-        .collect_rows()
-        .expect("drain rows");
-    assert_eq!(rows, expected);
 }
 
 /// Hostile envelopes: a post-negotiation frame too short to carry the

@@ -480,11 +480,6 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         self.metrics.compaction_passes.get()
     }
 
-    /// Bytes currently in the active (unsealed) WAL.
-    pub fn active_wal_bytes(&self) -> u64 {
-        self.active.bytes_written()
-    }
-
     /// The store's options.
     pub fn options(&self) -> SegmentedOptions {
         self.opts

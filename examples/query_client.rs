@@ -6,7 +6,7 @@
 //! second half uses composable [`QueryPlan`]s directly, answered as lazy
 //! [`RowStream`]s with server-side pagination, stamps a paged plan with
 //! a trace id and renders the span tree the server recorded for it, and
-//! closes with multiplexed streams and a federated router.
+//! closes with a federated router in front of a two-shard fleet.
 //!
 //! ```bash
 //! cargo run --release --example query_client
@@ -197,47 +197,6 @@ fn main() {
         .traces(TraceFilter::recent().stage("epoch.ingest").limit(1))
         .expect("ingest traces");
     print!("{}", trace_report(&ingest_trees));
-
-    // ---- Stream multiplexing on one connection. ----
-    //
-    // Every frame carries a stream id, so one socket carries any number
-    // of interleaved cursor streams. Convert a
-    // fresh connection into a MuxClient, open two plans at once, and
-    // pull rows from each in turn — both are mid-flight on the same
-    // TCP stream, with the server round-robining batches between them.
-    // (set_accept_compressed(true) would additionally let the server
-    // LZ-compress large reply frames.)
-    let mux = SirenClient::connect_with_retry(addr, timeout, &RetryPolicy::default())
-        .expect("connect")
-        .into_mux()
-        .expect("multiplexed handle");
-    let mut records = mux
-        .query(
-            QueryPlan::records()
-                .filter(Selection::all().job(probe.key.job_id))
-                .batch_rows(4)
-                .page_rows(4),
-        )
-        .expect("open records stream");
-    let mut usage = mux
-        .query(QueryPlan::usage_table().limit(5))
-        .expect("open usage stream");
-    println!(
-        "multiplex: records on stream {}, usage on stream {} (one connection)",
-        records.stream_id(),
-        usage.stream_id()
-    );
-    let (mut record_rows, mut usage_rows) = (0usize, 0usize);
-    loop {
-        let next_record = records.next().transpose().expect("records row");
-        let next_usage = usage.next().transpose().expect("usage row");
-        record_rows += usize::from(next_record.is_some());
-        usage_rows += usize::from(next_usage.is_some());
-        if records.is_done() && usage.is_done() {
-            break;
-        }
-    }
-    println!("  drained {record_rows} record rows and {usage_rows} usage rows interleaved");
 
     // ---- Federation: one router port over a sharded fleet. ----
     //
