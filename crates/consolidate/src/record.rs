@@ -126,6 +126,13 @@ impl ProcessRecord {
     /// encode to equal bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the [`ProcessRecord::encode`] payload to `out`, so a
+    /// caller framing it writes in place instead of copying a buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.key.job_id.to_le_bytes());
         out.extend_from_slice(&self.key.step_id.to_le_bytes());
         out.extend_from_slice(&self.key.pid.to_le_bytes());
@@ -134,11 +141,11 @@ impl ProcessRecord {
             Layer::SelfExe => 0,
             Layer::Script => 1,
         });
-        put_str(&mut out, &self.key.exe_hash);
-        put_str(&mut out, &self.key.host);
-        put_map(&mut out, &self.meta);
+        put_str(out, &self.key.exe_hash);
+        put_str(out, &self.key.host);
+        put_map(out, &self.meta);
         for list in [&self.objects, &self.modules, &self.compilers, &self.maps] {
-            put_opt_list(&mut out, list);
+            put_opt_list(out, list);
         }
         for hash in [
             &self.objects_hash,
@@ -149,18 +156,17 @@ impl ProcessRecord {
             &self.strings_hash,
             &self.symbols_hash,
         ] {
-            put_opt_str(&mut out, hash);
+            put_opt_str(out, hash);
         }
         match &self.script {
             None => out.push(0),
             Some(script) => {
                 out.push(1);
-                put_opt_str(&mut out, &script.path);
-                put_map(&mut out, &script.meta);
-                put_opt_str(&mut out, &script.script_hash);
+                put_opt_str(out, &script.path);
+                put_map(out, &script.meta);
+                put_opt_str(out, &script.script_hash);
             }
         }
-        out
     }
 
     /// Decode a payload produced by [`ProcessRecord::encode`]. `None` on

@@ -64,17 +64,21 @@ impl StoredItem {
 
 impl Persist for StoredItem {
     fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             StoredItem::Row(row) => {
-                let mut out = vec![0u8];
+                out.push(0);
                 out.extend_from_slice(&row.epoch.to_le_bytes());
-                out.extend_from_slice(&row.record.encode());
-                out
+                row.record.encode_into(out);
             }
             StoredItem::Seal(epoch) => {
-                let mut out = vec![1u8];
+                out.push(1);
                 out.extend_from_slice(&epoch.to_le_bytes());
-                out
             }
         }
     }
@@ -960,5 +964,74 @@ impl SirenDaemon {
             let _ = open.service.finish()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use siren_db::Record;
+    use siren_store::segment::SEG_MAGIC;
+    use siren_store::{encode_frame, read_segment, write_segment, SegmentRead};
+    use siren_wire::Layer;
+
+    /// The payload a stored item was framed from before frames were
+    /// written in place: tag and epoch, then a separately encoded record.
+    fn two_step_payload(item: &StoredItem) -> Vec<u8> {
+        match item {
+            StoredItem::Row(row) => {
+                let mut out = vec![0u8];
+                out.extend_from_slice(&row.epoch.to_le_bytes());
+                out.extend_from_slice(&row.record.encode());
+                out
+            }
+            StoredItem::Seal(epoch) => {
+                let mut out = vec![1u8];
+                out.extend_from_slice(&epoch.to_le_bytes());
+                out
+            }
+        }
+    }
+
+    #[test]
+    fn stored_items_frame_in_place_to_the_two_step_bytes() {
+        let row = Record {
+            job_id: 7,
+            step_id: 1,
+            pid: 42,
+            exe_hash: "e1".into(),
+            host: "node1".into(),
+            time: 1_700_000_000,
+            layer: Layer::SelfExe,
+            mtype: MessageType::Meta,
+            content: "path=/usr/bin/python3;user=user_1".into(),
+        };
+        let mut record = ProcessRecord::new(&row);
+        record.absorb(&row);
+        record.objects = Some(vec!["/lib64/libc.so.6".into()]);
+        record.file_hash = Some("3:ab:cd".into());
+        let items = vec![
+            StoredItem::Row(Box::new(EpochRecord { epoch: 3, record })),
+            StoredItem::Seal(3),
+        ];
+
+        let dir = std::env::temp_dir().join(format!("siren-daemon-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pin.seg");
+        write_segment(&path, &items).unwrap();
+        let data = std::fs::read(&path).unwrap();
+        let mut frames = SEG_MAGIC.to_vec();
+        for item in &items {
+            assert_eq!(item.encode(), two_step_payload(item));
+            frames.extend_from_slice(&encode_frame(&two_step_payload(item)));
+        }
+        // The 17-byte footer follows the frames.
+        assert_eq!(data.len(), frames.len() + 17);
+        assert_eq!(data[..frames.len()], frames[..]);
+        match read_segment::<StoredItem>(&path).unwrap() {
+            SegmentRead::Valid(got) => assert_eq!(got, items),
+            SegmentRead::Partial(_) => panic!("a fresh segment must read back valid"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

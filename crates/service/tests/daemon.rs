@@ -7,6 +7,7 @@ use siren_collector::{Collector, PolicyMode, SENTINEL_BURST};
 use siren_consolidate::{consolidate, ProcessRecord};
 use siren_db::Database;
 use siren_net::{SimChannel, SimConfig};
+use siren_obs::TraceFilter;
 use siren_service::{ServiceConfig, SirenDaemon};
 use siren_store::SegmentedOptions;
 use siren_wire::{Message, MessageType, Reassembler};
@@ -199,6 +200,50 @@ fn restart_between_epochs_recovers_committed_records() {
         "empty epoch's commit survives restart via its seal"
     );
     assert_eq!(daemon.begin_epoch().unwrap(), 2, "id not reused");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reopen_records_one_store_open_span() {
+    let dir = temp_data_dir("open-span");
+    let cfg = || ServiceConfig {
+        store: tight_store(),
+        ..ServiceConfig::at(&dir)
+    };
+    {
+        let (mut daemon, _) = SirenDaemon::open(cfg()).unwrap();
+        for msg in campaign_messages(0, 0, 0.0, 2) {
+            daemon.push(msg).unwrap();
+        }
+        assert_eq!(daemon.committed_epochs(), vec![0]);
+    }
+    let (daemon, recovery) = SirenDaemon::open(cfg()).unwrap();
+    let opens = daemon.traces(&TraceFilter::recent().stage("store.open"));
+    assert_eq!(opens.len(), 1, "one open, one store.open trace: {opens:?}");
+    let root = opens[0].root().expect("store.open is a root span");
+    assert_eq!(root.stage, "store.open");
+    let annotation = |key: &str| -> u64 {
+        root.annotation(key)
+            .unwrap_or_else(|| panic!("store.open lacks {key}: {root:?}"))
+            .parse()
+            .unwrap()
+    };
+    let store = recovery.store;
+    assert_eq!(
+        annotation("files"),
+        (store.runs_loaded + store.segments_loaded) as u64
+    );
+    assert!(annotation("files") >= 1);
+    // Every committed row plus the epoch's seal marker.
+    assert_eq!(
+        annotation("records"),
+        recovery.consolidated_records + 1,
+        "records annotation counts rows and seals"
+    );
+    assert_eq!(annotation("records"), store.records_loaded);
+    assert_eq!(annotation("bytes"), daemon.sealed_bytes());
+    assert!(annotation("workers") >= 1);
+    drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -8,7 +8,7 @@
 //! not from locking.
 
 use crate::metrics::StoreMetrics;
-use crate::segment::{read_segment, write_segment, SegmentRead};
+use crate::segment::{read_segment_with, write_segment, SegmentRead};
 use crate::segmented::{run_path, Catalog, FileKind, SealedFile};
 use crate::Persist;
 use siren_obs::TraceId;
@@ -115,10 +115,11 @@ pub(crate) fn compact_pass<T: Persist + Clone>(
         }
     }
 
-    // Read and merge outside the lock — inputs are immutable.
+    // Read and merge outside the lock — inputs are immutable. One
+    // reader thread: the compactor runs beside ingest and queries.
     let mut merged: Vec<T> = Vec::new();
     for file in &inputs {
-        match read_segment::<T>(&file.path)? {
+        match read_segment_with::<T>(&file.path, 1)? {
             SegmentRead::Valid(items) => merged.extend(items),
             SegmentRead::Partial(_) => {
                 // A live catalog entry must be valid; bail out and let

@@ -74,6 +74,13 @@ pub use wal::{encode_frame, WalReader, WalWriter, FRAME_MAGIC, MAX_PAYLOAD};
 pub trait Persist: Sized + Send + Sync + 'static {
     /// Encode to a self-contained payload.
     fn encode(&self) -> Vec<u8>;
+    /// Append the [`Persist::encode`] payload to `out`. Frames are
+    /// written in place through this; the default copies `encode`'s
+    /// buffer, so override it when the codec can write into `out`
+    /// directly.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.encode());
+    }
     /// Decode a payload; `None` on any structural inconsistency.
     fn decode(data: &[u8]) -> Option<Self>;
     /// The total order compaction sorts runs by.

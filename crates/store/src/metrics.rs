@@ -12,9 +12,10 @@ use std::sync::Arc;
 /// `Arc` handles for every `store.*` metric.
 #[derive(Debug, Clone)]
 pub struct StoreMetrics {
-    /// When set, each completed compaction pass records a root
-    /// `store.compaction` span into this flight recorder (attached via
-    /// [`StoreMetrics::with_spans`]; detached bundles record none).
+    /// When set, each open records a root `store.open` span and each
+    /// completed compaction pass a root `store.compaction` span into
+    /// this flight recorder (attached via [`StoreMetrics::with_spans`];
+    /// detached bundles record none).
     pub spans: Option<Arc<SpanBuffer>>,
     /// `store.wal_fsync_ns` — flush+fsync latency of the active WAL.
     pub wal_fsync_ns: Arc<Histogram>,
@@ -52,8 +53,10 @@ impl StoreMetrics {
         }
     }
 
-    /// Attach a span flight recorder: completed compaction passes will
-    /// record root `store.compaction` spans into it.
+    /// Attach a span flight recorder: opens will record root
+    /// `store.open` spans into it, annotated with the files, records and
+    /// bytes read and the reader threads used, and completed compaction
+    /// passes root `store.compaction` spans.
     pub fn with_spans(mut self, spans: Arc<SpanBuffer>) -> Self {
         self.spans = Some(spans);
         self

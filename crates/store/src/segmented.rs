@@ -3,7 +3,9 @@
 use crate::backend::StorageBackend;
 use crate::compact::{compact_pass, Compactor};
 use crate::metrics::StoreMetrics;
-use crate::segment::{read_segment, sync_parent_dir, write_segment, SegmentRead};
+use crate::segment::{
+    available_workers, read_segment_with, sync_parent_dir, write_segment, SegmentRead,
+};
 use crate::wal::{WalReader, WalWriter};
 use crate::Persist;
 use std::collections::BTreeMap;
@@ -169,6 +171,8 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         metrics: StoreMetrics,
     ) -> std::io::Result<(Self, Vec<T>, RecoveryStats)> {
         std::fs::create_dir_all(dir)?;
+        let mut span = metrics.spans.as_ref().map(|s| s.root("store.open", None));
+        let workers = available_workers();
         let mut stats = RecoveryStats::default();
 
         let mut wals: Vec<u64> = Vec::new();
@@ -198,7 +202,7 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         let mut valid_runs: Vec<(u64, u64, Vec<T>)> = Vec::new();
         for (a, b) in runs {
             let path = run_path(dir, a, b);
-            match read_segment::<T>(&path)? {
+            match read_segment_with::<T>(&path, workers)? {
                 SegmentRead::Valid(items) => valid_runs.push((a, b, items)),
                 SegmentRead::Partial(_) => {
                     // A run is only renamed into place after fsync; a
@@ -231,7 +235,7 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
                 stats.superseded_files_removed += 1;
                 continue;
             }
-            match read_segment::<T>(&path)? {
+            match read_segment_with::<T>(&path, workers)? {
                 SegmentRead::Valid(items) => live_segs.push((n, items)),
                 SegmentRead::Partial(prefix) => {
                     stats.partial_files_discarded += 1;
@@ -336,6 +340,15 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
             compactor,
             metrics,
         };
+        if let Some(span) = &mut span {
+            span.annotate(
+                "files",
+                &(stats.runs_loaded + stats.segments_loaded).to_string(),
+            );
+            span.annotate("records", &stats.records_loaded.to_string());
+            span.annotate("bytes", &backend.sealed_bytes().to_string());
+            span.annotate("workers", &workers.to_string());
+        }
         backend.notify_compactor();
         Ok((backend, records, stats))
     }
