@@ -723,21 +723,6 @@ impl ApplicationCorpus {
     }
 }
 
-/// Softwares in Table 5 with their expected unique-binary counts, used by
-/// tests and the experiment harness.
-pub struct SoftwareGroup;
-
-impl SoftwareGroup {
-    /// Sum of variants per software label across lineages.
-    pub fn expected_unique_binaries() -> HashMap<&'static str, usize> {
-        let mut m = HashMap::new();
-        for g in GROUPS {
-            *m.entry(g.software).or_insert(0) += g.variants;
-        }
-        m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,7 +738,10 @@ mod tests {
 
     #[test]
     fn icon_family_sums_to_175_unique_binaries() {
-        let m = SoftwareGroup::expected_unique_binaries();
+        let mut m = HashMap::new();
+        for g in GROUPS {
+            *m.entry(g.software).or_insert(0) += g.variants;
+        }
         assert_eq!(m["icon"], 175); // 130 + 32 + 13, Table 5
         assert_eq!(m["UNKNOWN"], 7);
         assert_eq!(m["LAMMPS"], 5);

@@ -24,21 +24,23 @@ pub struct FleetConfig {
     pub clusters: usize,
     /// Template configuration (cluster 0 uses it almost verbatim).
     pub base: CampaignConfig,
-    /// Distance between consecutive clusters' `job_id_base`s. Must
-    /// exceed any cluster's campaign job count.
-    pub job_stride: u64,
-    /// Distance between consecutive clusters' `host_base`s. Must be at
-    /// least 512 (a campaign's node-number spread).
-    pub host_stride: u32,
 }
+
+/// Distance between consecutive clusters' `job_id_base`s. It must exceed
+/// any cluster's campaign job count: a full-scale campaign is 13 448
+/// jobs, so a million leaves room for scales up to ≈74.
+pub const JOB_STRIDE: u64 = 1_000_000;
+
+/// Distance between consecutive clusters' `host_base`s. It must be at
+/// least 512, a campaign's node-number spread; 10 000 keeps each
+/// cluster's node names in their own decimal block.
+const HOST_STRIDE: u32 = 10_000;
 
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             clusters: 2,
             base: CampaignConfig::default(),
-            job_stride: 1_000_000,
-            host_stride: 10_000,
         }
     }
 }
@@ -54,17 +56,10 @@ impl FleetConfig {
                 .base
                 .seed
                 .wrapping_add(k64.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            job_id_base: self.base.job_id_base + k64 * self.job_stride,
-            host_base: self.base.host_base + k as u32 * self.host_stride,
+            job_id_base: self.base.job_id_base + k64 * JOB_STRIDE,
+            host_base: self.base.host_base + k as u32 * HOST_STRIDE,
             ..self.base.clone()
         }
-    }
-
-    /// All derived configurations.
-    pub fn campaign_configs(&self) -> Vec<CampaignConfig> {
-        (0..self.clusters)
-            .map(|k| self.campaign_config(k))
-            .collect()
     }
 }
 
@@ -81,11 +76,10 @@ mod tests {
                 scale: 0.001,
                 ..CampaignConfig::default()
             },
-            ..FleetConfig::default()
         };
         let mut all_jobs: Vec<std::ops::Range<u64>> = Vec::new();
         let mut all_hosts: Vec<std::ops::Range<u32>> = Vec::new();
-        for cfg in fleet.campaign_configs() {
+        for cfg in (0..fleet.clusters).map(|k| fleet.campaign_config(k)) {
             let campaign = Campaign::new(cfg.clone());
             let mut max_job = cfg.job_id_base;
             campaign.run(|ctx| {
@@ -122,12 +116,9 @@ mod tests {
                 scale: 0.001,
                 ..CampaignConfig::default()
             },
-            ..FleetConfig::default()
         };
-        let stats: Vec<_> = fleet
-            .campaign_configs()
-            .into_iter()
-            .map(|cfg| Campaign::new(cfg).run(|_| {}))
+        let stats: Vec<_> = (0..fleet.clusters)
+            .map(|k| Campaign::new(fleet.campaign_config(k)).run(|_| {}))
             .collect();
         // Same structural scale (jobs within a few percent)…
         assert_eq!(

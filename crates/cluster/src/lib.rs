@@ -41,7 +41,7 @@ pub mod sysimage;
 pub mod users;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignStats};
-pub use corpus::{ApplicationCorpus, SoftwareGroup, VariantBinary};
+pub use corpus::{ApplicationCorpus, VariantBinary};
 pub use fleet::FleetConfig;
 pub use libcatalog::{library_path, LibraryCatalog};
 pub use process::{FileMeta, ProcessContext, PythonContext, SimFile};
@@ -49,11 +49,13 @@ pub use python::PythonEcosystem;
 pub use sysimage::SystemImage;
 pub use users::{UserProfile, USER_PROFILES};
 
-/// Default campaign start timestamp: 2024-12-11 00:00:00 UTC, the first
-/// day of the paper's deployment window.
+/// Campaign start timestamp: 2024-12-11 00:00:00 UTC, the first day of
+/// the paper's deployment window. Every campaign starts here, so job
+/// timestamps fall where the paper's did.
 pub const CAMPAIGN_START: u64 = 1_733_875_200;
 
-/// Default campaign duration in seconds (Dec 11 2024 → Mar 7 2025).
+/// Campaign duration in seconds: the paper's deployment window, Dec 11
+/// 2024 → Mar 7 2025.
 pub const CAMPAIGN_SECONDS: u64 = 86 * 24 * 3600;
 
 #[cfg(test)]

@@ -128,11 +128,6 @@ pub fn library_path(label: &str) -> &'static str {
 pub struct LibraryCatalog;
 
 impl LibraryCatalog {
-    /// All Figure-2 labels, in the figure's x-axis order.
-    pub fn labels() -> Vec<&'static str> {
-        LIBRARY_CATALOG.iter().map(|(l, _)| *l).collect()
-    }
-
     /// Resolve a list of labels to concrete paths, prepending the
     /// LD_PRELOAD `siren.so` (first, as the dynamic linker loads it
     /// before anything else) and appending the uninformative base set.

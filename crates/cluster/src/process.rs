@@ -109,13 +109,6 @@ pub struct ProcessContext {
     pub in_container: bool,
 }
 
-impl ProcessContext {
-    /// The `LOADEDMODULES` environment value (colon-separated).
-    pub fn loadedmodules_env(&self) -> String {
-        self.loaded_modules.join(":")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,29 +121,5 @@ mod tests {
         assert_eq!(f.meta.owner_uid, 1001);
         assert_eq!(f.meta.mode, 0o755);
         assert_eq!(f.meta.mtime, 99);
-    }
-
-    #[test]
-    fn loadedmodules_env_joins_with_colon() {
-        let ctx = ProcessContext {
-            user: "user_1".into(),
-            uid: 1,
-            gid: 1,
-            job_id: 1,
-            step_id: 0,
-            slurm_procid: 0,
-            host: "nid1".into(),
-            pid: 2,
-            ppid: 1,
-            timestamp: 0,
-            exe_path: "/usr/bin/bash".into(),
-            exe: Arc::new(SimFile::new(vec![], 1, 0, 0)),
-            loaded_objects: Arc::new(vec![]),
-            loaded_modules: Arc::new(vec!["PrgEnv-cray/8.4.0".into(), "cce/16.0.1".into()]),
-            memory_maps: Arc::new(vec![]),
-            python: None,
-            in_container: false,
-        };
-        assert_eq!(ctx.loadedmodules_env(), "PrgEnv-cray/8.4.0:cce/16.0.1");
     }
 }

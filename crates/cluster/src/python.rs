@@ -367,14 +367,6 @@ impl PythonEcosystem {
         }
         maps
     }
-
-    /// The family whose id is given (static lookup).
-    pub fn family(family_id: &str) -> &'static ScriptFamily0 {
-        SCRIPT_FAMILIES
-            .iter()
-            .find(|f| f.id == family_id)
-            .unwrap_or_else(|| panic!("unknown script family {family_id}"))
-    }
 }
 
 #[cfg(test)]

@@ -33,8 +33,6 @@ pub struct SystemExecutable {
 #[derive(Debug)]
 pub struct SystemImage {
     executables: HashMap<String, SystemExecutable>,
-    /// Paths in deterministic (insertion) order.
-    order: Vec<String>,
 }
 
 /// Bash's three loaded-library variants, verbatim from Table 4.
@@ -85,7 +83,6 @@ impl SystemImage {
     pub fn build() -> Self {
         let mut image = Self {
             executables: HashMap::new(),
-            order: Vec::new(),
         };
         let mut inode = 100_000u64;
         let install_time = crate::CAMPAIGN_START - 90 * 24 * 3600;
@@ -98,7 +95,6 @@ impl SystemImage {
                 0,
                 install_time,
             ));
-            image.order.push(path.to_string());
             image.executables.insert(
                 path.to_string(),
                 SystemExecutable {
@@ -186,21 +182,6 @@ impl SystemImage {
     pub fn get(&self, path: &str) -> Option<&SystemExecutable> {
         self.executables.get(path)
     }
-
-    /// All executable paths, deterministic order.
-    pub fn paths(&self) -> &[String] {
-        &self.order
-    }
-
-    /// Number of distinct system executables.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Always false — the image is never empty.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +190,7 @@ mod tests {
 
     #[test]
     fn image_has_112_executables_like_the_paper() {
-        assert_eq!(SystemImage::build().len(), 112);
+        assert_eq!(SystemImage::build().executables.len(), 112);
     }
 
     #[test]
@@ -235,7 +216,7 @@ mod tests {
     #[test]
     fn every_variant_loads_siren_so_first() {
         let img = SystemImage::build();
-        for path in img.paths() {
+        for path in img.executables.keys() {
             for v in &img.get(path).unwrap().object_variants {
                 assert_eq!(v[0], SIREN_SO, "{path}");
             }
@@ -263,7 +244,7 @@ mod tests {
     fn build_is_deterministic() {
         let a = SystemImage::build();
         let b = SystemImage::build();
-        for p in a.paths() {
+        for p in a.executables.keys() {
             assert_eq!(a.get(p).unwrap().file.data, b.get(p).unwrap().file.data);
         }
     }

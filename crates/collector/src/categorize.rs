@@ -34,15 +34,6 @@ impl Category {
             Category::System
         }
     }
-
-    /// Short name for report output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Category::System => "system",
-            Category::User => "user",
-            Category::Python => "python",
-        }
-    }
 }
 
 /// Does the file name look like a CPython interpreter (`python`,

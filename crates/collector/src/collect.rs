@@ -48,7 +48,6 @@ pub const SENTINEL_BURST: usize = 3;
 pub struct Collector<'s, S: Sender> {
     sender: &'s S,
     mode: PolicyMode,
-    max_datagram: usize,
     sender_id: u32,
     epoch: Option<u64>,
     stats: CollectorStats,
@@ -60,17 +59,10 @@ impl<'s, S: Sender> Collector<'s, S> {
         Self {
             sender,
             mode,
-            max_datagram: DEFAULT_MAX_DATAGRAM,
             sender_id: 0,
             epoch: None,
             stats: CollectorStats::default(),
         }
-    }
-
-    /// Override the datagram size limit (for chunking experiments).
-    pub fn with_max_datagram(mut self, max: usize) -> Self {
-        self.max_datagram = max;
-        self
     }
 
     /// Tag this collector's sentinel with a sender id (multi-sender
@@ -128,7 +120,7 @@ impl<'s, S: Sender> Collector<'s, S> {
         let msgs = collect_messages(ctx, self.mode, &mut self.stats);
         for (header, content) in msgs {
             self.stats.messages += 1;
-            for msg in chunk_message(&header, &content, self.max_datagram) {
+            for msg in chunk_message(&header, &content, DEFAULT_MAX_DATAGRAM) {
                 self.stats.datagrams_sent += 1;
                 self.sender.send(&msg.encode());
             }

@@ -90,11 +90,6 @@ impl Consolidator {
         }
     }
 
-    /// Process records consolidated so far (before script merging).
-    pub fn processes_seen(&self) -> usize {
-        self.by_key.len()
-    }
-
     /// Merge SCRIPT rows into their interpreter parents, sort, and emit.
     pub fn finish(self) -> Consolidated {
         let Self {
@@ -562,7 +557,7 @@ mod tests {
         for r in &rows {
             inc.push_row(r);
         }
-        assert_eq!(inc.processes_seen(), 2);
+        assert_eq!(inc.by_key.len(), 2);
         let incremental = inc.finish();
         assert_eq!(incremental.records, one_shot.records);
         assert_eq!(incremental.stats, one_shot.stats);

@@ -244,11 +244,6 @@ impl ProcessRecord {
         self.meta.get("user").map(|s| s.as_str())
     }
 
-    /// Numeric uid (from metadata).
-    pub fn uid(&self) -> Option<u32> {
-        self.meta.get("uid").and_then(|s| s.parse().ok())
-    }
-
     /// Executable file name (final path component).
     pub fn exe_name(&self) -> Option<&str> {
         self.exe_path().map(|p| p.rsplit('/').next().unwrap_or(p))
@@ -313,7 +308,7 @@ mod tests {
         rec.absorb(&row);
         assert_eq!(rec.exe_path(), Some("/usr/bin/x"));
         assert_eq!(rec.exe_name(), Some("x"));
-        assert_eq!(rec.uid(), Some(1001));
+        assert_eq!(rec.meta.get("uid").map(String::as_str), Some("1001"));
         assert_eq!(rec.user(), Some("user_1"));
 
         row.mtype = MessageType::Objects;

@@ -14,8 +14,7 @@ use siren_cluster::{Campaign, CampaignStats, FleetConfig};
 use siren_collector::{Collector, CollectorStats, PolicyMode};
 use siren_consolidate::{integrity_report, ConsolidateStats, IntegrityReport, ProcessRecord};
 use siren_ingest::{IngestConfig, IngestProducer, IngestService, ShardStats};
-use siren_net::{Sender, SimChannel, SimConfig};
-use siren_service::{EpochSummary, SirenDaemon};
+use siren_net::Sender;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fleet deployment configuration.
@@ -27,11 +26,6 @@ pub struct FleetDeploymentConfig {
     pub policy: PolicyMode,
     /// Ingest tier shared by the whole fleet.
     pub ingest: IngestConfig,
-    /// Channel perturbations for the epoch-mode transport
-    /// ([`FleetDeployment::run_as_epochs`]); the concurrent in-process
-    /// mode ([`FleetDeployment::run`]) is lossless by construction and
-    /// ignores this.
-    pub channel: SimConfig,
 }
 
 impl Default for FleetDeploymentConfig {
@@ -40,7 +34,6 @@ impl Default for FleetDeploymentConfig {
             fleet: FleetConfig::default(),
             policy: PolicyMode::Selective,
             ingest: IngestConfig::default(),
-            channel: SimConfig::perfect(),
         }
     }
 }
@@ -74,8 +67,8 @@ pub struct FleetResult {
 }
 
 /// A collector transport that decodes datagrams and feeds them straight
-/// into the ingest service — the in-process analogue of the sharded UDP
-/// path, used where the fleet experiment wants losslessness.
+/// into the ingest service — the in-process analogue of a UDP receiver,
+/// used where the fleet experiment wants losslessness.
 struct ProducerSender {
     producer: IngestProducer,
     sent: AtomicU64,
@@ -152,75 +145,12 @@ impl FleetDeployment {
             sentinels_seen: ingested.sentinels_seen,
         }
     }
-
-    /// Run the fleet through a long-running service daemon, one cluster
-    /// campaign per **epoch**: cluster `k`'s campaign streams through a
-    /// simulated channel (with this config's perturbations) into
-    /// `daemon`, its epoch-tagged sentinel burst closes and commits the
-    /// epoch, and the next cluster begins the next one. The daemon
-    /// persists every epoch, so the fleet's history survives restarts
-    /// and is queryable across epochs afterwards.
-    pub fn run_as_epochs(self, daemon: &mut SirenDaemon) -> std::io::Result<EpochFleetResult> {
-        let mut epochs = Vec::with_capacity(self.cfg.fleet.clusters);
-        let mut clusters = Vec::with_capacity(self.cfg.fleet.clusters);
-        for k in 0..self.cfg.fleet.clusters {
-            let epoch = daemon.begin_epoch()?;
-            let campaign = Campaign::new(self.cfg.fleet.campaign_config(k));
-            let (tx, rx) = SimChannel::create(self.cfg.channel);
-            let mut collector = Collector::new(&tx, self.cfg.policy)
-                .with_sender_id(k as u32)
-                .with_epoch(epoch);
-            let campaign_stats = campaign.run(|ctx| collector.observe(&ctx));
-            collector.end_campaign();
-            clusters.push(ClusterOutcome {
-                cluster: k,
-                campaign_stats,
-                collector_stats: collector.stats().clone(),
-            });
-
-            let (messages, decode_errors) = rx.drain_messages();
-            assert_eq!(decode_errors, 0, "sim channel never corrupts datagrams");
-            // Channel reordering can deliver a payload datagram *after*
-            // the first sentinel copy. Closing on that first copy would
-            // push the straggler into a spurious next epoch, so deliver
-            // every payload first and the sentinel burst last — the
-            // runner knows the campaign boundary; only the wire doesn't.
-            let (sentinels, payloads): (Vec<_>, Vec<_>) = messages
-                .into_iter()
-                .partition(|m| m.header.mtype == siren_wire::MessageType::End);
-            let mut summary = None;
-            for msg in payloads.into_iter().chain(sentinels) {
-                if let Some(s) = daemon.push(msg)? {
-                    summary = Some(s);
-                }
-            }
-            // Injected loss can eat the whole sentinel burst; close on
-            // the campaign boundary the runner already knows.
-            let summary = match summary {
-                Some(s) => s,
-                None => daemon.close_epoch()?,
-            };
-            epochs.push(summary);
-        }
-        Ok(EpochFleetResult { epochs, clusters })
-    }
-}
-
-/// Outcome of an epoch-mode fleet run ([`FleetDeployment::run_as_epochs`]).
-/// The committed records stay inside the daemon — query them through
-/// [`SirenDaemon::snapshot`].
-#[derive(Debug)]
-pub struct EpochFleetResult {
-    /// One commit receipt per cluster campaign, epoch order.
-    pub epochs: Vec<EpochSummary>,
-    /// Per-cluster campaign/collection outcomes, cluster order.
-    pub clusters: Vec<ClusterOutcome>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Deployment, DeploymentConfig, TransportKind};
+    use crate::pipeline::{Deployment, DeploymentConfig};
     use siren_cluster::CampaignConfig;
 
     fn tiny_fleet(clusters: usize, shards: usize) -> FleetDeploymentConfig {
@@ -231,7 +161,6 @@ mod tests {
                     scale: 0.001,
                     ..CampaignConfig::default()
                 },
-                ..FleetConfig::default()
             },
             ingest: IngestConfig::with_shards_unclamped(shards),
             ..FleetDeploymentConfig::default()
@@ -249,7 +178,6 @@ mod tests {
             .flat_map(|k| {
                 let dc = DeploymentConfig {
                     campaign: cfg.fleet.campaign_config(k),
-                    transport: TransportKind::Simulated,
                     ..DeploymentConfig::default()
                 };
                 Deployment::new(dc).run().records
@@ -265,42 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_mode_fleet_commits_one_epoch_per_cluster() {
-        use siren_service::{ServiceConfig, SirenDaemon};
-
-        let dir = std::env::temp_dir().join(format!("siren-fleet-epochs-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = tiny_fleet(2, 1);
-        let (mut daemon, _) = SirenDaemon::open(ServiceConfig::at(&dir)).unwrap();
-        let result = FleetDeployment::new(cfg.clone())
-            .run_as_epochs(&mut daemon)
-            .unwrap();
-        assert_eq!(result.epochs.len(), 2);
-        assert_eq!(result.epochs[0].epoch, 0);
-        assert_eq!(result.epochs[1].epoch, 1);
-        assert!(result
-            .epochs
-            .iter()
-            .all(|e| e.epoch_tag_mismatches == 0 && e.senders_closed == 1));
-
-        // Each epoch holds exactly its cluster's solo-deployment records.
-        let query = daemon.snapshot();
-        assert_eq!(query.epochs(), vec![0, 1]);
-        for k in 0..2 {
-            let dc = DeploymentConfig {
-                campaign: cfg.fleet.campaign_config(k),
-                transport: TransportKind::Simulated,
-                ..DeploymentConfig::default()
-            };
-            let solo = Deployment::new(dc).run().records;
-            let epoch_records: Vec<_> =
-                query.epoch_records(k as u64).into_iter().cloned().collect();
-            assert_eq!(epoch_records, solo, "epoch {k} equals solo cluster run");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn fleet_namespaces_and_sentinels() {
         let cfg = tiny_fleet(3, 2);
         let result = FleetDeployment::new(cfg.clone()).run();
@@ -313,7 +205,7 @@ mod tests {
         // Records from every cluster's job namespace are present.
         for k in 0..3 {
             let base = cfg.fleet.campaign_config(k).job_id_base;
-            let stride = cfg.fleet.job_stride;
+            let stride = siren_cluster::fleet::JOB_STRIDE;
             assert!(
                 result
                     .records

@@ -10,8 +10,10 @@
 //! (siren-analysis)  (siren-consolidate)  (siren-db)     (siren-wire)
 //! ```
 //!
-//! [`Deployment`] runs a complete opt-in campaign and returns the
-//! consolidated per-process records plus statistics from every stage;
+//! [`Deployment`] runs a complete opt-in campaign over the simulated
+//! channel and returns the consolidated per-process records plus
+//! statistics from every stage (real UDP ingest is
+//! [`service::SirenDaemon::drain_udp`]);
 //! [`report`] renders the paper's tables and figures from those records.
 //!
 //! ## Quick start
@@ -30,8 +32,8 @@ pub mod fleet;
 pub mod pipeline;
 pub mod report;
 
-pub use fleet::{EpochFleetResult, FleetDeployment, FleetDeploymentConfig, FleetResult};
-pub use pipeline::{Deployment, DeploymentConfig, DeploymentResult, TransportKind};
+pub use fleet::{FleetDeployment, FleetDeploymentConfig, FleetResult};
+pub use pipeline::{Deployment, DeploymentConfig, DeploymentResult};
 
 // Re-export the component crates under one roof so downstream users need
 // a single dependency.

@@ -1,7 +1,7 @@
 //! Paper-style report rendering over consolidated records.
 //!
 //! Each function regenerates one table/figure of the paper's §4 and
-//! returns it as text; [`full_report`] concatenates all of them.
+//! returns it as text.
 
 use siren_analysis as analysis;
 use siren_analysis::Labeler;
@@ -315,24 +315,6 @@ fn render_span(out: &mut String, tree: &TraceTree, span: &SpanRecord, depth: usi
     }
 }
 
-/// All tables and figures, separated by blank lines.
-pub fn full_report(records: &[ProcessRecord]) -> String {
-    [
-        usage_report(records),
-        system_report(records),
-        bash_variants_report(records),
-        labels_report(records),
-        compilers_report(records),
-        similarity_report(records),
-        interpreters_report(records),
-        derived_libs_report(records),
-        packages_report(records),
-        compiler_matrix_report(records),
-        library_matrix_report(records),
-    ]
-    .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{Deployment, DeploymentConfig};
@@ -451,11 +433,25 @@ mod tests {
     }
 
     #[test]
-    fn full_report_renders_every_artifact() {
+    fn every_artifact_renders() {
+        use super::*;
         let mut cfg = DeploymentConfig::default();
         cfg.campaign.scale = 0.002;
-        let result = Deployment::new(cfg).run();
-        let report = super::full_report(&result.records);
+        let records = Deployment::new(cfg).run().records;
+        let report = [
+            usage_report(&records),
+            system_report(&records),
+            bash_variants_report(&records),
+            labels_report(&records),
+            compilers_report(&records),
+            similarity_report(&records),
+            interpreters_report(&records),
+            derived_libs_report(&records),
+            packages_report(&records),
+            compiler_matrix_report(&records),
+            library_matrix_report(&records),
+        ]
+        .concat();
         for artifact in [
             "Table 2", "Table 3", "Table 4", "Table 5", "Table 6", "Table 7", "Table 8",
             "Figure 2", "Figure 3", "Figure 4", "Figure 5",

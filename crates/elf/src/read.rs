@@ -93,8 +93,6 @@ pub struct SymbolInfo {
 pub struct ElfFile<'a> {
     data: &'a [u8],
     elf_type: ElfType,
-    machine: Machine,
-    entry: u64,
     sections: Vec<SectionInfo>,
 }
 
@@ -139,9 +137,7 @@ impl<'a> ElfFile<'a> {
         let e_type_raw = read_u16(data, 16).ok_or(ElfError::Truncated)?;
         let elf_type = ElfType::from_u16(e_type_raw).ok_or(ElfError::BadType(e_type_raw))?;
         let e_machine_raw = read_u16(data, 18).ok_or(ElfError::Truncated)?;
-        let machine =
-            Machine::from_u16(e_machine_raw).ok_or(ElfError::BadMachine(e_machine_raw))?;
-        let entry = read_u64(data, 24).ok_or(ElfError::Truncated)?;
+        Machine::from_u16(e_machine_raw).ok_or(ElfError::BadMachine(e_machine_raw))?;
         let shoff = read_u64(data, 40).ok_or(ElfError::Truncated)? as usize;
         let shentsize = read_u16(data, 58).ok_or(ElfError::Truncated)? as usize;
         let shnum = read_u16(data, 60).ok_or(ElfError::Truncated)? as usize;
@@ -151,8 +147,6 @@ impl<'a> ElfFile<'a> {
             return Ok(Self {
                 data,
                 elf_type,
-                machine,
-                entry,
                 sections: Vec::new(),
             });
         }
@@ -227,8 +221,6 @@ impl<'a> ElfFile<'a> {
         Ok(Self {
             data,
             elf_type,
-            machine,
-            entry,
             sections,
         })
     }
@@ -236,16 +228,6 @@ impl<'a> ElfFile<'a> {
     /// File type.
     pub fn elf_type(&self) -> ElfType {
         self.elf_type
-    }
-
-    /// Target machine.
-    pub fn machine(&self) -> Machine {
-        self.machine
-    }
-
-    /// Entry point address.
-    pub fn entry(&self) -> u64 {
-        self.entry
     }
 
     /// All parsed sections (including the NULL section at index 0).

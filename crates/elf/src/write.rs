@@ -15,6 +15,11 @@ use crate::types::{
     dt, sht, Binding, ElfType, Machine, SymType, DYN_SIZE, EHDR_SIZE, SHDR_SIZE, SYM_SIZE,
 };
 
+/// Entry point written into every built binary. Nothing executes these
+/// images, so any address inside the conventional x86-64 text segment
+/// will do.
+const ENTRY: u64 = 0x40_1000;
+
 /// A symbol queued for the `.symtab`.
 #[derive(Debug, Clone)]
 struct PendingSymbol {
@@ -52,42 +57,24 @@ struct PendingSection {
 #[derive(Debug, Clone)]
 pub struct ElfBuilder {
     elf_type: ElfType,
-    machine: Machine,
-    entry: u64,
     text: Vec<u8>,
     rodata: Vec<u8>,
     comments: Vec<String>,
     symbols: Vec<PendingSymbol>,
     needed: Vec<String>,
-    extra_sections: Vec<PendingSection>,
 }
 
 impl ElfBuilder {
-    /// Start building a binary of the given type (x86-64 by default).
+    /// Start building an x86-64 binary of the given type.
     pub fn new(elf_type: ElfType) -> Self {
         Self {
             elf_type,
-            machine: Machine::X86_64,
-            entry: 0x40_1000,
             text: Vec::new(),
             rodata: Vec::new(),
             comments: Vec::new(),
             symbols: Vec::new(),
             needed: Vec::new(),
-            extra_sections: Vec::new(),
         }
-    }
-
-    /// Set the target machine.
-    pub fn machine(mut self, m: Machine) -> Self {
-        self.machine = m;
-        self
-    }
-
-    /// Set the entry point address.
-    pub fn entry(mut self, e: u64) -> Self {
-        self.entry = e;
-        self
     }
 
     /// Set (replace) the `.text` payload.
@@ -130,19 +117,6 @@ impl ElfBuilder {
     /// Add a `DT_NEEDED` shared-library dependency.
     pub fn needed(mut self, soname: &str) -> Self {
         self.needed.push(soname.to_string());
-        self
-    }
-
-    /// Add an arbitrary PROGBITS section (escape hatch for tests).
-    pub fn raw_section(mut self, name: &str, data: &[u8]) -> Self {
-        self.extra_sections.push(PendingSection {
-            name: name.to_string(),
-            sh_type: sht::PROGBITS,
-            data: data.to_vec(),
-            entsize: 0,
-            link_name: None,
-            info: 0,
-        });
         self
     }
 
@@ -262,8 +236,6 @@ impl ElfBuilder {
             });
         }
 
-        sections.extend(self.extra_sections.iter().cloned());
-
         // --- layout ---------------------------------------------------
         // Section name string table (.shstrtab), including itself.
         let mut shstrtab = vec![0u8];
@@ -312,9 +284,9 @@ impl ElfBuilder {
         out[6] = 1; // EV_CURRENT
         out[7] = 0; // ELFOSABI_NONE
         out[16..18].copy_from_slice(&self.elf_type.to_u16().to_le_bytes());
-        out[18..20].copy_from_slice(&self.machine.to_u16().to_le_bytes());
+        out[18..20].copy_from_slice(&Machine::X86_64.to_u16().to_le_bytes());
         out[20..24].copy_from_slice(&1u32.to_le_bytes());
-        out[24..32].copy_from_slice(&self.entry.to_le_bytes());
+        out[24..32].copy_from_slice(&ENTRY.to_le_bytes());
         // e_phoff = 0 (no program headers)
         out[40..48].copy_from_slice(&(shoff as u64).to_le_bytes());
         // e_flags = 0
@@ -458,19 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn raw_section_round_trip() {
-        let bin = ElfBuilder::new(ElfType::Dyn)
-            .raw_section(".note.siren", b"custom-payload")
-            .build();
-        let f = ElfFile::parse(&bin).unwrap();
-        assert_eq!(f.section_data(".note.siren").unwrap(), b"custom-payload");
-    }
-
-    #[test]
     fn full_featured_binary() {
         let bin = ElfBuilder::new(ElfType::Dyn)
-            .machine(Machine::X86_64)
-            .entry(0x1040)
             .text(&[0x90; 512])
             .rodata(b"version 2.1\0help text\0")
             .comment("GCC: (HPE) 12.2.0")
@@ -479,8 +440,6 @@ mod tests {
             .needed("libc.so.6")
             .build();
         let f = ElfFile::parse(&bin).unwrap();
-        assert_eq!(f.machine(), Machine::X86_64);
-        assert_eq!(f.entry(), 0x1040);
         assert_eq!(
             f.section_data(".rodata").unwrap(),
             b"version 2.1\0help text\0"

@@ -75,11 +75,6 @@ impl Router {
         })
     }
 
-    /// The fleet this router fronts.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// The router's own metric registry (`fed.*` series).
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.metrics.registry)

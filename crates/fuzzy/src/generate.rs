@@ -142,9 +142,6 @@ pub struct FuzzyHasher {
     bh_end: usize,
     roll: RollingHash,
     total: u64,
-    /// When false, low contexts are never retired (ablation knob for the
-    /// `reduce_contexts` optimization; results are identical either way).
-    reduce: bool,
 }
 
 impl Default for FuzzyHasher {
@@ -162,27 +159,7 @@ impl FuzzyHasher {
             bh_end: 1,
             roll: RollingHash::new(),
             total: 0,
-            reduce: true,
         }
-    }
-
-    /// New engine that never retires low contexts (slower; used by the
-    /// ablation bench to quantify the optimization).
-    pub fn new_without_reduction() -> Self {
-        let mut s = Self::new();
-        s.reduce = false;
-        s
-    }
-
-    /// Total bytes consumed so far.
-    pub fn total_len(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of currently live block-size contexts (observability for the
-    /// ablation bench).
-    pub fn live_contexts(&self) -> usize {
-        self.bh_end - self.bh_start
     }
 
     /// Absorb input.
@@ -229,9 +206,7 @@ impl FuzzyHasher {
             i += 1;
         }
 
-        if self.reduce {
-            self.try_reduce();
-        }
+        self.try_reduce();
     }
 
     /// Add context level `bh_end`, inheriting hash state from the current
@@ -360,17 +335,6 @@ mod tests {
             let data = pattern(len, seed);
             assert_eq!(fuzzy_hash_reference(&data), fuzzy_hash(&data), "len {len}");
         }
-    }
-
-    #[test]
-    fn reduction_does_not_change_result() {
-        let data = pattern(100_000, 9);
-        let mut a = FuzzyHasher::new();
-        let mut b = FuzzyHasher::new_without_reduction();
-        a.update(&data);
-        b.update(&data);
-        assert_eq!(a.digest(), b.digest());
-        assert!(a.live_contexts() <= b.live_contexts());
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl FuzzyHash {
     pub fn to_string_repr(&self) -> String {
         format!("{}:{}:{}", self.block_size, self.sig1, self.sig2)
     }
-
-    /// Similarity (0–100) against another hash. Convenience wrapper around
-    /// [`compare_parsed`].
-    pub fn similarity(&self, other: &FuzzyHash) -> u32 {
-        compare_parsed(self, other)
-    }
 }
 
 impl std::fmt::Display for FuzzyHash {

@@ -54,16 +54,6 @@ impl RollingHash {
     pub fn sum(&self) -> u32 {
         self.h1.wrapping_add(self.h2).wrapping_add(self.h3)
     }
-
-    /// Number of bytes consumed so far.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if no bytes have been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +63,7 @@ mod tests {
     #[test]
     fn empty_state_is_zero() {
         assert_eq!(RollingHash::new().sum(), 0);
-        assert!(RollingHash::new().is_empty());
+        assert_eq!(RollingHash::new().n, 0);
     }
 
     #[test]
@@ -105,7 +95,7 @@ mod tests {
         let mut r = RollingHash::new();
         r.update(b'a');
         assert_ne!(r.sum(), 0);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.n, 1);
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl Fnv32 {
         self.state = h;
     }
 
-    /// Absorb a single byte (hot path for the fuzzy hasher).
-    #[inline]
-    pub fn update_byte(&mut self, b: u8) {
-        self.state ^= u32::from(b);
-        self.state = self.state.wrapping_mul(FNV32_PRIME);
-    }
-
     /// Current state as digest.
     pub const fn digest(&self) -> u32 {
         self.state
@@ -143,16 +136,5 @@ mod tests {
             h.update(&[b]);
         }
         assert_eq!(h.digest(), fnv1a64(b"foobar"));
-    }
-
-    #[test]
-    fn byte_update_matches_slice_update() {
-        let mut a = Fnv32::with_state(0x2802_1967);
-        let mut b = Fnv32::with_state(0x2802_1967);
-        for &byte in b"chunk content" {
-            a.update_byte(byte);
-        }
-        b.update(b"chunk content");
-        assert_eq!(a.digest(), b.digest());
     }
 }

@@ -136,6 +136,8 @@ fn hash_long_128(data: &[u8], secret: &[u8; SECRET_LEN]) -> Hash128 {
     Hash128 { high, low }
 }
 
+/// XXH3-128 of an input of at most 240 bytes. `seed` is the algorithm's
+/// seed; this crate always hashes with seed 0.
 fn hash_short_128(data: &[u8], secret: &[u8; SECRET_LEN], seed: u64) -> Hash128 {
     let len = data.len() as u64;
     match data.len() {
@@ -235,7 +237,6 @@ pub fn xxh3_128_hex(data: &[u8]) -> String {
 #[derive(Clone)]
 pub struct Xxh3_128 {
     secret: [u8; SECRET_LEN],
-    seed: u64,
 }
 
 impl Default for Xxh3_128 {
@@ -246,9 +247,7 @@ impl Default for Xxh3_128 {
 
 impl std::fmt::Debug for Xxh3_128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Xxh3_128")
-            .field("seed", &self.seed)
-            .finish()
+        f.debug_struct("Xxh3_128").finish_non_exhaustive()
     }
 }
 
@@ -257,34 +256,13 @@ impl Xxh3_128 {
     pub fn new() -> Self {
         Self {
             secret: default_secret(),
-            seed: 0,
         }
-    }
-
-    /// Hasher with a custom seed (mixed into the short-input paths and the
-    /// secret for the long path).
-    pub fn with_seed(seed: u64) -> Self {
-        let mut s = Self::new();
-        s.seed = seed;
-        if seed != 0 {
-            // Derive a seeded secret the way XXH3 does: perturb 64-bit
-            // halves of the default secret in opposite directions.
-            let mut i = 0;
-            while i + 16 <= SECRET_LEN {
-                let a = read_u64(&s.secret, i).wrapping_add(seed);
-                let b = read_u64(&s.secret, i + 8).wrapping_sub(seed);
-                s.secret[i..i + 8].copy_from_slice(&a.to_le_bytes());
-                s.secret[i + 8..i + 16].copy_from_slice(&b.to_le_bytes());
-                i += 16;
-            }
-        }
-        s
     }
 
     /// Hash a full input buffer.
     pub fn hash(&self, data: &[u8]) -> Hash128 {
         if data.len() <= 240 {
-            hash_short_128(data, &self.secret, self.seed)
+            hash_short_128(data, &self.secret, 0)
         } else {
             hash_long_128(data, &self.secret)
         }
@@ -325,16 +303,6 @@ mod tests {
             data[pos] ^= 0x01;
         }
         assert_eq!(xxh3_128(&data), base);
-    }
-
-    #[test]
-    fn seed_changes_output_for_all_size_classes() {
-        let a = Xxh3_128::with_seed(1);
-        let b = Xxh3_128::with_seed(2);
-        for len in [0usize, 3, 8, 16, 100, 241, 5000] {
-            let data = vec![7u8; len];
-            assert_ne!(a.hash(&data), b.hash(&data), "len {len}");
-        }
     }
 
     #[test]

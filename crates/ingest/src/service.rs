@@ -239,11 +239,6 @@ impl IngestProducer {
         self.push(msg);
         Ok(())
     }
-
-    /// The router this producer shards by.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
 }
 
 /// The running service: one bounded channel + worker thread per shard.
@@ -305,17 +300,6 @@ impl IngestService {
             },
             workers,
         })
-    }
-
-    /// The router in use (shared with sender-side components).
-    pub fn router(&self) -> &ShardRouter {
-        self.producer.router()
-    }
-
-    /// Cloneable handle for one shard (the UDP receiver pool feeds each
-    /// socket's messages straight into its shard).
-    pub fn handle(&self, shard: usize) -> ShardHandle {
-        self.producer.handles[shard].clone()
     }
 
     /// A cloneable intake for producer threads.
@@ -419,11 +403,6 @@ impl IngestResult {
         self.shard_stats.iter().map(|s| s.db_rows).sum()
     }
 
-    /// Total messages delivered to shard workers.
-    pub fn messages_received(&self) -> u64 {
-        self.shard_stats.iter().map(|s| s.received).sum()
-    }
-
     /// Aggregate WAL replay statistics across shard partitions (what the
     /// service recovered from disk before this campaign's messages).
     pub fn replay_stats(&self) -> ReplayStats {
@@ -433,11 +412,6 @@ impl IngestResult {
             total.corrupt_tail_bytes += s.replay_tail_bytes;
         }
         total
-    }
-
-    /// Total producer stalls on saturated shard channels.
-    pub fn backpressure_waits(&self) -> u64 {
-        self.shard_stats.iter().map(|s| s.backpressure_waits).sum()
     }
 }
 
@@ -737,7 +711,7 @@ mod tests {
             .unwrap_or(1);
         let requested = cores + 7; // always over the machine's width
         let mut svc = IngestService::spawn(IngestConfig::with_shards(requested)).unwrap();
-        assert_eq!(svc.router().shards(), cores);
+        assert_eq!(svc.producer.router.shards(), cores);
         for m in meta(1, 10) {
             svc.push(m);
         }
@@ -748,7 +722,7 @@ mod tests {
         }
         // The unclamped constructor gets exactly what it asked for.
         let svc = IngestService::spawn(IngestConfig::with_shards_unclamped(requested)).unwrap();
-        assert_eq!(svc.router().shards(), requested);
+        assert_eq!(svc.producer.router.shards(), requested);
         let result = svc.finish().unwrap();
         assert!(result
             .shard_stats

@@ -26,7 +26,7 @@ pub mod udp;
 
 pub use proxy::{FaultConfig, FaultProxy};
 pub use sim::{SimChannel, SimConfig, SimReceiver, SimSender};
-pub use udp::{ShardedUdpSender, UdpReceiver, UdpReceiverPool, UdpSender};
+pub use udp::{UdpReceiver, UdpSender};
 
 /// A fire-and-forget datagram sender.
 ///

@@ -12,8 +12,6 @@
 //!   from a configured range (counted on the server→client direction,
 //!   the interesting one for a replication stream: the cut lands
 //!   mid-epoch, mid-batch, even mid-frame-header).
-//! * **drop** — refuse every nth accepted connection outright (the
-//!   dial succeeds, then the socket closes before a single byte).
 //! * **delay** — hold each forwarded chunk for a fixed duration,
 //!   simulating a slow link.
 //!
@@ -41,9 +39,6 @@ pub struct FaultConfig {
     /// Sever each proxied connection after a server→client byte count
     /// drawn uniformly from this inclusive range. `None` = never cut.
     pub cut_bytes: Option<(u64, u64)>,
-    /// Refuse every nth accepted connection (1 = every connection,
-    /// 2 = every other, …). `None` = accept all.
-    pub refuse_every: Option<u64>,
     /// Hold each forwarded chunk this long before passing it on.
     pub delay: Option<Duration>,
 }
@@ -51,12 +46,8 @@ pub struct FaultConfig {
 struct Inner {
     target: Mutex<SocketAddr>,
     stop: AtomicBool,
-    /// Connections accepted (refused ones included).
-    connections: AtomicU64,
     /// Connections torn by the byte-offset cut.
     cuts: AtomicU64,
-    /// Connections refused by `refuse_every`.
-    refused: AtomicU64,
 }
 
 /// A seeded man-in-the-middle TCP forwarder. Dropping it stops the
@@ -78,9 +69,7 @@ impl FaultProxy {
         let inner = Arc::new(Inner {
             target: Mutex::new(target),
             stop: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
             cuts: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
         });
         let accept_inner = Arc::clone(&inner);
         let accept_thread = std::thread::Builder::new()
@@ -104,19 +93,9 @@ impl FaultProxy {
         *self.inner.target.lock() = target;
     }
 
-    /// Connections accepted so far (refused ones included).
-    pub fn connections(&self) -> u64 {
-        self.inner.connections.load(Ordering::Relaxed)
-    }
-
     /// Connections severed by the byte-offset cut.
     pub fn cuts(&self) -> u64 {
         self.inner.cuts.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused outright by `refuse_every`.
-    pub fn refused(&self) -> u64 {
-        self.inner.refused.load(Ordering::Relaxed)
     }
 }
 
@@ -140,15 +119,6 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>, cfg: FaultConfig) {
             }
             Err(_) => break,
         };
-        let n = inner.connections.fetch_add(1, Ordering::Relaxed) + 1;
-        if cfg
-            .refuse_every
-            .is_some_and(|every| n.is_multiple_of(every.max(1)))
-        {
-            inner.refused.fetch_add(1, Ordering::Relaxed);
-            // Drop: close before a single byte crosses.
-            continue;
-        }
         // Draw this connection's cut offset now, so the schedule
         // depends only on (seed, connection index) — not on thread
         // interleaving.

@@ -1,11 +1,9 @@
-//! Real UDP over loopback: sender socket + receiver server thread, plus
-//! the sharded variants (one socket per shard on both sides) feeding the
-//! multi-threaded ingest tier.
+//! Real UDP over loopback: sender socket + receiver server thread.
 
 use crate::Sender;
 use crossbeam::channel::{bounded, Receiver as ChanReceiver, TrySendError};
 use polling::{Event, Interest, Poller};
-use siren_wire::{Message, ShardRouter};
+use siren_wire::Message;
 use std::net::{SocketAddr, UdpSocket};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,16 +158,6 @@ impl UdpReceiver {
         self.rx.recv_timeout(timeout).ok()
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Clone of the message channel, for consumer threads.
-    pub fn channel(&self) -> ChanReceiver<Message> {
-        self.rx.clone()
-    }
-
     /// Stop the reader thread and return final statistics. Takes effect
     /// immediately: the poller is notified, so a parked reader wakes at
     /// once instead of timing out.
@@ -197,110 +185,10 @@ impl Drop for UdpReceiver {
     }
 }
 
-/// Multi-socket sender for the sharded ingest path: one connected socket
-/// per shard, each targeting one receiver of a [`UdpReceiverPool`].
-/// Datagrams are routed to the socket of their job's shard (via
-/// [`ShardRouter::shard_of_datagram`], the same mapping the ingest
-/// workers partition by), so each receiver socket sees exactly its
-/// shard's traffic in send order. End-of-campaign sentinels and
-/// unroutable datagrams are broadcast to every socket — each receiver
-/// must observe the end of each sender's stream.
-#[derive(Debug)]
-pub struct ShardedUdpSender {
-    sockets: Vec<UdpSocket>,
-    router: ShardRouter,
-    sent: AtomicU64,
-}
-
-impl ShardedUdpSender {
-    /// Create a sender with one connected socket per destination; shard
-    /// `i` maps to `dests[i]`.
-    pub fn connect(dests: &[SocketAddr]) -> std::io::Result<Self> {
-        assert!(
-            !dests.is_empty(),
-            "sharded sender needs at least one destination"
-        );
-        let mut sockets = Vec::with_capacity(dests.len());
-        for dest in dests {
-            let socket = UdpSocket::bind(("127.0.0.1", 0))?;
-            socket.connect(dest)?;
-            sockets.push(socket);
-        }
-        Ok(Self {
-            router: ShardRouter::new(sockets.len()),
-            sockets,
-            sent: AtomicU64::new(0),
-        })
-    }
-
-    /// The router mapping job ids to destination sockets.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-}
-
-impl Sender for ShardedUdpSender {
-    fn send(&self, datagram: &[u8]) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
-        match self.router.shard_of_datagram(datagram) {
-            // Graceful failure doctrine: socket errors never propagate.
-            Some(shard) => {
-                let _ = self.sockets[shard].send(datagram);
-            }
-            None => {
-                for socket in &self.sockets {
-                    let _ = socket.send(datagram);
-                }
-            }
-        }
-    }
-
-    fn sent_count(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-}
-
-/// A pool of [`UdpReceiver`]s, one socket (and reader thread) per shard.
-#[derive(Debug)]
-pub struct UdpReceiverPool {
-    receivers: Vec<UdpReceiver>,
-}
-
-impl UdpReceiverPool {
-    /// Bind `shards` loopback receivers, each with its own bounded
-    /// channel of capacity `buffer`.
-    pub fn spawn(shards: usize, buffer: usize) -> std::io::Result<Self> {
-        let receivers = (0..shards.max(1))
-            .map(|_| UdpReceiver::spawn(buffer))
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(Self { receivers })
-    }
-
-    /// Destination addresses, index-aligned with shard numbers.
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.receivers.iter().map(UdpReceiver::local_addr).collect()
-    }
-
-    /// Number of receivers.
-    pub fn len(&self) -> usize {
-        self.receivers.len()
-    }
-
-    /// True when the pool is empty (never, post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.receivers.is_empty()
-    }
-
-    /// Hand out the receivers (e.g. one per drain thread).
-    pub fn into_receivers(self) -> Vec<UdpReceiver> {
-        self.receivers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siren_wire::{sentinel_message, Layer, MessageHeader, MessageType};
+    use siren_wire::{Layer, MessageHeader, MessageType};
 
     #[test]
     fn sender_swallows_errors_when_receiver_gone() {
@@ -314,52 +202,6 @@ mod tests {
             sender.send(b"into the void");
         }
         assert_eq!(sender.sent_count(), 10);
-    }
-
-    #[test]
-    fn sharded_sender_routes_per_job_and_broadcasts_sentinels() {
-        let pool = UdpReceiverPool::spawn(4, 1024).unwrap();
-        let addrs = pool.addrs();
-        let sender = ShardedUdpSender::connect(&addrs).unwrap();
-        let router = *sender.router();
-
-        let msg = |job_id: u64| Message {
-            header: MessageHeader {
-                job_id,
-                step_id: 0,
-                pid: 1,
-                exe_hash: "00".into(),
-                host: "h".into(),
-                time: 1,
-                layer: Layer::SelfExe,
-                mtype: MessageType::Meta,
-            },
-            chunk_index: 0,
-            chunk_total: 1,
-            content: format!("job-{job_id}"),
-        };
-
-        for job in 0..64u64 {
-            sender.send(&msg(job).encode());
-        }
-        sender.send(&sentinel_message(0, 64).encode());
-
-        let receivers = pool.into_receivers();
-        let mut sentinels = 0;
-        for (shard, receiver) in receivers.into_iter().enumerate() {
-            // Every payload datagram on this socket belongs to this shard.
-            while let Some(m) = receiver.recv_timeout(Duration::from_millis(200)) {
-                if m.header.mtype == MessageType::End {
-                    sentinels += 1;
-                    break; // sentinel is the last datagram on each socket
-                }
-                assert_eq!(router.shard_of(&m), Some(shard));
-            }
-            let stats = receiver.stop();
-            assert_eq!(stats.decode_errors, 0);
-        }
-        // The sentinel broadcast reached every shard's socket.
-        assert_eq!(sentinels, 4, "each receiver must see the sentinel");
     }
 
     #[test]

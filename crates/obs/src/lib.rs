@@ -181,11 +181,6 @@ impl Timer {
         }
     }
 
-    /// Elapsed time so far, without ending the span.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
     /// End the span now (equivalent to dropping it).
     pub fn stop(self) {}
 }
@@ -194,14 +189,6 @@ impl Drop for Timer {
     fn drop(&mut self) {
         self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
-}
-
-/// Time `f`, recording elapsed nanoseconds into `hist`.
-pub fn time<R>(hist: &Histogram, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let out = f();
-    hist.record(start.elapsed().as_nanos() as u64);
-    out
 }
 
 #[cfg(test)]
@@ -247,13 +234,5 @@ mod tests {
         drop(Timer::start(Arc::clone(&hist)));
         let snap = hist.snapshot();
         assert_eq!(snap.count, 2);
-    }
-
-    #[test]
-    fn time_returns_closure_result() {
-        let hist = Histogram::new();
-        let out = time(&hist, || 7 * 6);
-        assert_eq!(out, 42);
-        assert_eq!(hist.snapshot().count, 1);
     }
 }

@@ -71,11 +71,6 @@ impl SlowQueryLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Maximum entries retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,7 @@ mod tests {
         let kept: Vec<u64> = log.entries().iter().map(|e| e.fingerprint).collect();
         assert_eq!(kept, vec![2, 3, 4]);
         assert_eq!(log.len(), 3);
-        assert_eq!(log.capacity(), 3);
+        assert_eq!(log.capacity, 3);
     }
 
     #[test]

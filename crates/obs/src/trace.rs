@@ -139,7 +139,6 @@ pub struct SpanBuffer {
     created: Instant,
     ring: Mutex<VecDeque<SpanRecord>>,
     capacity: usize,
-    overwritten: AtomicU64,
 }
 
 impl SpanBuffer {
@@ -150,7 +149,6 @@ impl SpanBuffer {
             created: Instant::now(),
             ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            overwritten: AtomicU64::new(0),
         }
     }
 
@@ -204,7 +202,6 @@ impl SpanBuffer {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.capacity {
             ring.pop_front();
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(record);
     }
@@ -227,17 +224,6 @@ impl SpanBuffer {
     /// True when no span has completed yet (or all were overwritten).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Maximum completed spans retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Spans overwritten by newer ones since creation — how far back
-    /// the flight recorder no longer reaches.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten.load(Ordering::Relaxed)
     }
 }
 
@@ -307,11 +293,6 @@ impl Span {
         self.annotate(FINGERPRINT_ANNOTATION, &format!("{fingerprint:016x}"));
     }
 
-    /// Elapsed time so far, without completing the span.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
     /// Complete the span now (equivalent to dropping it).
     pub fn finish(self) {}
 }
@@ -369,18 +350,6 @@ impl TraceFilter {
     /// Restrict to one trace id.
     pub fn trace(mut self, trace: TraceId) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Restrict to traces touching one plan fingerprint.
-    pub fn fingerprint(mut self, fingerprint: u64) -> Self {
-        self.fingerprint = Some(fingerprint);
-        self
-    }
-
-    /// Restrict to traces at least `ns` nanoseconds long end to end.
-    pub fn min_duration_ns(mut self, ns: u64) -> Self {
-        self.min_duration_ns = Some(ns);
         self
     }
 
@@ -574,7 +543,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].stage, "s3");
         assert_eq!(spans[1].stage, "s4");
-        assert_eq!(buffer.overwritten(), 3);
     }
 
     #[test]
@@ -641,17 +609,22 @@ mod tests {
         assert_eq!(by_id[0].root().unwrap().stage, "request.plan");
         assert!(by_id[0].contains_stage("request.fetch"));
 
-        let by_fp = store.traces(&TraceFilter::recent().fingerprint(0xabcd));
+        let by_fingerprint = |fingerprint| TraceFilter {
+            fingerprint: Some(fingerprint),
+            ..TraceFilter::recent()
+        };
+        let by_fp = store.traces(&by_fingerprint(0xabcd));
         assert_eq!(by_fp.len(), 1);
         assert_eq!(by_fp[0].trace, t1);
-        assert!(store
-            .traces(&TraceFilter::recent().fingerprint(0x9999))
-            .is_empty());
+        assert!(store.traces(&by_fingerprint(0x9999)).is_empty());
 
         let by_stage = store.traces(&TraceFilter::recent().stage("exec"));
         assert_eq!(by_stage.len(), 1);
         assert!(store
-            .traces(&TraceFilter::recent().min_duration_ns(u64::MAX))
+            .traces(&TraceFilter {
+                min_duration_ns: Some(u64::MAX),
+                ..TraceFilter::recent()
+            })
             .is_empty());
     }
 

@@ -58,14 +58,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The one-shot policy: never retry.
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
     /// The backoff before retry number `attempt` (zero-based), jittered
     /// through `rng` (any nonzero xorshift state).
     pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
@@ -559,17 +551,6 @@ impl<C: BorrowMut<SirenClient>> RowStream<C> {
             }
             rows.extend(self.buffer.drain(..));
         }
-    }
-
-    /// Degradation warnings absorbed so far (complete once the stream
-    /// is done).
-    pub fn warnings(&self) -> &[QueryWarning] {
-        &self.warnings
-    }
-
-    /// True once every row has been yielded.
-    pub fn is_done(&self) -> bool {
-        self.done && self.buffer.is_empty()
     }
 }
 

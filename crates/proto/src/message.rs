@@ -71,14 +71,6 @@ pub struct ShardKey<'a> {
     pub host: Option<&'a str>,
 }
 
-impl ShardKey<'_> {
-    /// True when no routing predicate is set — every shard of a
-    /// partitioned corpus may hold matching records.
-    pub fn is_unrouted(&self) -> bool {
-        self.job.is_none() && self.host.is_none()
-    }
-}
-
 /// A reusable record filter: all present conditions are ANDed. The one
 /// filter type shared by the wire protocol and the in-process snapshot
 /// API, publicly constructible via its builder methods.
@@ -1405,7 +1397,6 @@ mod tests {
         let key = sel.shard_key();
         assert_eq!(key.job, Some(42));
         assert_eq!(key.host, Some("nid000007"));
-        assert!(!key.is_unrouted());
     }
 
     #[test]
@@ -1426,7 +1417,6 @@ mod tests {
                     host: None
                 }
             );
-            assert!(key.is_unrouted());
         }
     }
 

@@ -79,12 +79,6 @@ impl FramedConn {
         self.last_progress
     }
 
-    /// Unconsumed inbound bytes (a partial frame when `next_frame`
-    /// returned `None` at EOF means the peer died mid-frame).
-    pub fn buffered_input(&self) -> usize {
-        self.rbuf.len() - self.rpos
-    }
-
     /// Bytes queued but not yet written.
     pub fn pending_output(&self) -> usize {
         self.wbuf.len() - self.wpos
@@ -127,18 +121,6 @@ impl FramedConn {
             self.rbuf.drain(..self.rpos);
             self.rpos = 0;
         }
-    }
-
-    /// Consume exactly `n` raw bytes from the inbound buffer (the
-    /// fixed-size handshake reads), or `None` until they arrive.
-    pub fn take_exact(&mut self, n: usize) -> Option<Vec<u8>> {
-        if self.buffered_input() < n {
-            return None;
-        }
-        let bytes = self.rbuf[self.rpos..self.rpos + n].to_vec();
-        self.rpos += n;
-        self.compact_read();
-        Some(bytes)
     }
 
     /// Parse the next complete frame out of the inbound buffer.
@@ -221,9 +203,14 @@ mod tests {
         (peer, FramedConn::new(server_side).unwrap())
     }
 
+    /// Unconsumed inbound bytes.
+    fn buffered(conn: &FramedConn) -> usize {
+        conn.rbuf.len() - conn.rpos
+    }
+
     fn fill_until(conn: &mut FramedConn, want: usize) {
         let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while conn.buffered_input() < want {
+        while buffered(conn) < want {
             conn.fill().unwrap();
             assert!(Instant::now() < deadline, "peer bytes never arrived");
             std::thread::yield_now();
@@ -244,24 +231,13 @@ mod tests {
         assert_eq!(conn.next_frame(1 << 20).unwrap().unwrap(), frames[0]);
         assert_eq!(conn.next_frame(1 << 20).unwrap().unwrap(), frames[1]);
         assert_eq!(conn.next_frame(1 << 20).unwrap(), None, "third is partial");
-        assert!(conn.buffered_input() > 0);
+        assert!(buffered(&conn) > 0);
 
         peer.write_all(&wire[wire.len() - 3..]).unwrap();
         fill_until(&mut conn, encode_frame(&frames[2]).len());
         assert_eq!(conn.next_frame(1 << 20).unwrap().unwrap(), frames[2]);
         assert_eq!(conn.next_frame(1 << 20).unwrap(), None);
-        assert_eq!(conn.buffered_input(), 0);
-    }
-
-    #[test]
-    fn handshake_bytes_come_out_before_frames() {
-        let (mut peer, mut conn) = pair();
-        let mut wire = b"SRNQxxxx".to_vec();
-        wire.extend_from_slice(&encode_frame(b"req"));
-        peer.write_all(&wire).unwrap();
-        fill_until(&mut conn, wire.len());
-        assert_eq!(conn.take_exact(8).unwrap(), b"SRNQxxxx");
-        assert_eq!(conn.next_frame(1 << 20).unwrap().unwrap(), b"req");
+        assert_eq!(buffered(&conn), 0);
     }
 
     #[test]
@@ -307,7 +283,7 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(conn.next_frame(1 << 20).unwrap(), None);
-        assert_eq!(conn.buffered_input(), 0, "clean close, no partial frame");
+        assert_eq!(buffered(&conn), 0, "clean close, no partial frame");
     }
 
     #[test]

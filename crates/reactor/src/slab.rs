@@ -11,7 +11,6 @@
 pub struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<usize>,
-    len: usize,
 }
 
 impl<T> Default for Slab<T> {
@@ -25,13 +24,11 @@ impl<T> Slab<T> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            len: 0,
         }
     }
 
     /// Store `value`, returning its key.
     pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
         match self.free.pop() {
             Some(key) => {
                 self.slots[key] = Some(value);
@@ -49,25 +46,12 @@ impl<T> Slab<T> {
         let value = self.slots.get_mut(key)?.take();
         if value.is_some() {
             self.free.push(key);
-            self.len -= 1;
         }
         value
     }
 
-    pub fn get(&self, key: usize) -> Option<&T> {
-        self.slots.get(key)?.as_ref()
-    }
-
     pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
         self.slots.get_mut(key)?.as_mut()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Occupied keys, in slot order. Snapshot — safe to mutate the
@@ -91,12 +75,12 @@ mod tests {
         let a = slab.insert("a");
         let b = slab.insert("b");
         assert_ne!(a, b);
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.get(a), Some(&"a"));
+        assert_eq!(slab.keys().len(), 2);
+        assert_eq!(slab.get_mut(a).map(|v| *v), Some("a"));
         *slab.get_mut(b).unwrap() = "B";
         assert_eq!(slab.remove(b), Some("B"));
         assert_eq!(slab.remove(b), None, "double remove is None");
-        assert_eq!(slab.get(b), None);
+        assert_eq!(slab.get_mut(b), None);
 
         let c = slab.insert("c");
         assert_eq!(c, b, "freed slot is reused");
@@ -105,8 +89,8 @@ mod tests {
 
     #[test]
     fn out_of_range_keys_are_none() {
-        let slab: Slab<u8> = Slab::new();
-        assert_eq!(slab.get(3), None);
-        assert!(slab.is_empty());
+        let mut slab: Slab<u8> = Slab::new();
+        assert_eq!(slab.get_mut(3), None);
+        assert!(slab.keys().is_empty());
     }
 }

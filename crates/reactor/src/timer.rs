@@ -128,15 +128,6 @@ impl TimerWheel {
             .flat_map(|b| b.iter().map(|e| e.deadline))
             .min()
     }
-
-    /// Number of scheduled timers.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +149,7 @@ mod tests {
         fired.clear();
         wheel.advance(t0 + Duration::from_millis(60), &mut fired);
         assert_eq!(fired, vec![2]);
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.live, 0);
     }
 
     #[test]
@@ -191,7 +182,7 @@ mod tests {
         wheel.advance(t0 + Duration::from_secs(10), &mut fired);
         fired.sort_unstable();
         assert_eq!(fired, (0..20).collect::<Vec<_>>());
-        assert!(wheel.is_empty());
+        assert_eq!(wheel.live, 0);
         fired.clear();
         wheel.advance(t0 + Duration::from_secs(20), &mut fired);
         assert!(fired.is_empty(), "timers fire exactly once");

@@ -131,9 +131,6 @@ pub struct ServiceConfig {
     /// this address (bind `127.0.0.1:0` for an ephemeral test port; the
     /// bound address is [`SirenDaemon::query_addr`]).
     pub query_addr: Option<SocketAddr>,
-    /// Event-loop threads in the query server's reactor; each serves
-    /// many connections through readiness-driven non-blocking I/O.
-    pub query_workers: usize,
     /// Accepted connections waiting for event-loop registration;
     /// connections beyond it are refused, never buffered without
     /// bound.
@@ -168,7 +165,6 @@ impl Default for ServiceConfig {
             expected_senders: 1,
             store: SegmentedOptions::default(),
             query_addr: None,
-            query_workers: 4,
             query_backlog: 64,
             query_deadline: Duration::from_secs(5),
             cursor_ttl: Duration::from_secs(60),
@@ -892,7 +888,7 @@ impl SirenDaemon {
 
     /// Query connections accepted and refused (queue full) so far —
     /// refusals rising is the signal to raise
-    /// [`ServiceConfig::query_workers`] / `query_backlog`.
+    /// [`ServiceConfig::query_backlog`].
     pub fn query_connections(&self) -> (u64, u64) {
         self.server
             .as_ref()

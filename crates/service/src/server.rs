@@ -1,7 +1,7 @@
 //! The TCP query server embedded in [`SirenDaemon`](crate::SirenDaemon)
 //! — an event-driven reactor serving tier.
 //!
-//! `cfg.query_workers` event-loop threads each own a
+//! [`QUERY_WORKERS`] event-loop threads each own a
 //! [`siren_reactor::Poller`] and a slab of non-blocking framed
 //! connections ([`FramedConn`]); loop 0 additionally owns the
 //! non-blocking listener and dispatches accepted sockets round-robin
@@ -60,6 +60,12 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Event-loop threads in the query server's reactor; each serves many
+/// connections through readiness-driven non-blocking I/O. Four is the
+/// count every test and benchmark has measured; sizing it from the
+/// hardware is an open question, not a setting.
+const QUERY_WORKERS: usize = 4;
 
 /// Poller key of loop 0's listener.
 const LISTENER_KEY: usize = 0;
@@ -121,7 +127,7 @@ pub(crate) struct QueryServer {
 }
 
 impl QueryServer {
-    /// Bind `addr` and start `cfg.query_workers` event loops; loop 0
+    /// Bind `addr` and start [`QUERY_WORKERS`] event loops; loop 0
     /// owns the listener. The cursor table is bounded by
     /// `cfg.cursor_ttl` / `cfg.query_max_cursors`, and all traffic
     /// telemetry is recorded into `metrics`.
@@ -141,29 +147,32 @@ impl QueryServer {
             metrics.clone(),
         ));
 
-        let loops = cfg.query_workers.max(1);
+        let loops = QUERY_WORKERS;
         // The backlog bound is split across loops: the total number of
         // accepted-but-unregistered connections stays `query_backlog`.
         let per_loop = (cfg.query_backlog.max(1) / loops).max(1);
         let mut pollers = Vec::with_capacity(loops);
-        let mut channels: Vec<(Sender<Handoff>, Receiver<Handoff>)> = Vec::with_capacity(loops);
+        let mut senders: Vec<Sender<Handoff>> = Vec::with_capacity(loops);
+        let mut receivers: Vec<Receiver<Handoff>> = Vec::with_capacity(loops);
         for _ in 0..loops {
             pollers.push(Arc::new(Poller::new()?));
-            channels.push(bounded(per_loop));
+            let (tx, rx) = bounded(per_loop);
+            senders.push(tx);
+            receivers.push(rx);
         }
 
         let mut handles = Vec::with_capacity(loops);
         // Loop 0 takes the bound listener itself — no fallible
         // `try_clone` on the spawn path.
         let mut listener = Some(listener);
-        for (i, (_, rx)) in channels.iter().enumerate() {
+        for (i, rx) in receivers.into_iter().enumerate() {
             let ctx = EventLoop {
                 poller: Arc::clone(&pollers[i]),
-                incoming: rx.clone(),
+                incoming: rx,
                 listener: listener.take().map(|l| {
                     let peers: Vec<Dispatch> = (0..loops)
                         .map(|j| Dispatch {
-                            tx: channels[j].0.clone(),
+                            tx: senders[j].clone(),
                             poller: Arc::clone(&pollers[j]),
                         })
                         .collect();

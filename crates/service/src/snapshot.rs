@@ -35,7 +35,7 @@
 //! `daemon::SharedState`).
 
 use crate::daemon::EpochRecord;
-use siren_analysis::{library_usage, usage_table, LibraryUsageRow, UsageRow};
+use siren_analysis::{library_usage, LibraryUsageRow};
 use siren_consolidate::ProcessRecord;
 use siren_fuzzy::{FuzzyHash, FuzzyIndex};
 use siren_proto::Selection;
@@ -403,12 +403,6 @@ pub struct SnapshotSelection<'s> {
 }
 
 impl<'s> SnapshotSelection<'s> {
-    /// Restrict to one epoch.
-    pub fn epoch(mut self, epoch: u64) -> Self {
-        self.selection = self.selection.epoch(epoch);
-        self
-    }
-
     /// Restrict to one host.
     pub fn host(mut self, host: &str) -> Self {
         self.selection = self.selection.host(host);
@@ -421,24 +415,9 @@ impl<'s> SnapshotSelection<'s> {
         self
     }
 
-    /// The accumulated filter (e.g. to send over the wire instead).
-    pub fn selection(&self) -> &Selection {
-        &self.selection
-    }
-
-    /// Matching records.
-    pub fn records(self) -> Vec<&'s ProcessRecord> {
-        self.snapshot.filtered(&self.selection)
-    }
-
     /// Library usage over the selection (`siren-analysis` aggregation —
     /// the same computation behind the paper's library tables).
     pub fn library_usage(self) -> Vec<LibraryUsageRow> {
         library_usage(self.snapshot.filtered(&self.selection))
-    }
-
-    /// The paper's Table-2 usage breakdown over the selection.
-    pub fn usage_table(self) -> Vec<UsageRow> {
-        usage_table(self.snapshot.filtered(&self.selection))
     }
 }

@@ -20,7 +20,6 @@ fn fleet() -> FleetConfig {
             scale: 0.001,
             ..CampaignConfig::default()
         },
-        ..FleetConfig::default()
     }
 }
 

@@ -8,6 +8,8 @@
 
 use siren_cluster::{Campaign, CampaignConfig, FleetConfig};
 use siren_collector::{Collector, PolicyMode};
+use siren_consolidate::{consolidate, ProcessRecord};
+use siren_db::Database;
 use siren_net::{Sender as _, SimChannel, SimConfig, UdpReceiver, UdpSender};
 use siren_proto::{
     decode_hello_ack, decode_stream_frame, encode_hello, encode_stream_frame, read_frame,
@@ -16,13 +18,13 @@ use siren_proto::{
 };
 use siren_service::{ServiceConfig, SirenDaemon};
 use siren_store::SegmentedOptions;
-use siren_wire::Message;
+use siren_wire::{Message, MessageType, Reassembler};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn campaign_messages(cluster: usize, epoch: u64, seed: u64) -> Vec<Message> {
     let cfg = FleetConfig {
@@ -31,7 +33,6 @@ fn campaign_messages(cluster: usize, epoch: u64, seed: u64) -> Vec<Message> {
             scale: 0.001,
             ..CampaignConfig::default()
         },
-        ..FleetConfig::default()
     }
     .campaign_config(cluster);
     let (tx, rx) = SimChannel::create(SimConfig::perfect());
@@ -42,6 +43,18 @@ fn campaign_messages(cluster: usize, epoch: u64, seed: u64) -> Vec<Message> {
     Campaign::new(cfg).run(|ctx| collector.observe(&ctx));
     collector.end_campaign();
     rx.drain_messages().0
+}
+
+/// The reference: one serial reassembler + database + consolidation.
+fn reference_fold(messages: &[Message]) -> Vec<ProcessRecord> {
+    let mut reasm = Reassembler::new();
+    let rows = Database::in_memory();
+    for msg in messages {
+        if let Some(done) = reasm.push(msg.clone()) {
+            rows.insert_message(done).unwrap();
+        }
+    }
+    consolidate(&rows).records
 }
 
 fn temp_data_dir(tag: &str) -> PathBuf {
@@ -198,14 +211,36 @@ fn quiet_period_fallback_commits_and_is_surfaced_in_status() {
     let receiver = UdpReceiver::spawn(65_536).unwrap();
     let sender = UdpSender::connect(receiver.local_addr()).unwrap();
     // Strip every sentinel: the epoch can only close via the fallback.
-    for msg in campaign_messages(0, 0, 9) {
-        if msg.header.mtype != siren_wire::MessageType::End {
+    let payloads: Vec<Message> = campaign_messages(0, 0, 9)
+        .into_iter()
+        .filter(|msg| msg.header.mtype != MessageType::End)
+        .collect();
+    // Paced, so the loopback socket buffer never overflows before the
+    // receiver's reader thread moves datagrams into its channel: this
+    // test checks that nothing that arrived is lost, not loopback loss.
+    for batch in payloads.chunks(16) {
+        for msg in batch {
             sender.send(&msg.encode());
         }
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let started = Instant::now();
     let summaries = daemon.drain_udp(&receiver, 1).unwrap();
+    let elapsed = started.elapsed();
     assert_eq!(summaries.len(), 1);
     assert_eq!(summaries[0].senders_closed, 0, "no sentinel ever arrived");
+    // Every payload survives the loss of every sentinel…
+    assert_eq!(
+        summaries[0].records,
+        reference_fold(&payloads).len() as u64,
+        "the fallback commit must hold every payload"
+    );
+    // …and the drain gave up only after the configured silence.
+    let quiet = server_config(&dir).quiet_period;
+    assert!(
+        elapsed >= quiet,
+        "gave up before the quiet period: {elapsed:?}"
+    );
 
     let mut client = SirenClient::connect(qaddr).unwrap();
     let status = client.status().unwrap();

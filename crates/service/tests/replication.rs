@@ -36,7 +36,6 @@ fn campaign_messages(cluster: usize, epoch: u64) -> Vec<Message> {
             scale: 0.001,
             ..CampaignConfig::default()
         },
-        ..FleetConfig::default()
     }
     .campaign_config(cluster);
     let (tx, rx) = SimChannel::create(SimConfig::perfect());

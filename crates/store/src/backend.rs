@@ -50,46 +50,6 @@ impl<T: Persist> StorageBackend<T> for NullBackend {
     }
 }
 
-/// In-memory buffer backend: keeps every appended item in a vector.
-/// Useful standalone (tests, staging pipelines) where the caller wants
-/// backend semantics without a filesystem.
-#[derive(Debug, Default)]
-pub struct MemoryBackend<T> {
-    items: Vec<T>,
-}
-
-impl<T: Persist + Clone> MemoryBackend<T> {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self { items: Vec::new() }
-    }
-
-    /// Everything appended so far, in order.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consume the backend, yielding its buffer.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-}
-
-impl<T: Persist + Clone> StorageBackend<T> for MemoryBackend<T> {
-    fn append_batch(&mut self, items: &[T]) -> std::io::Result<()> {
-        self.items.extend_from_slice(items);
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "memory"
-    }
-}
-
 /// Single flat write-ahead-log backend — the seed's persistence model,
 /// now expressed through the backend seam. Suited to campaign-scoped
 /// runs where the log is bounded and replayed whole.
@@ -149,16 +109,6 @@ impl<T: Persist> StorageBackend<T> for WalBackend<T> {
 mod tests {
     use super::*;
     use crate::testitem::{temp_dir, TestItem};
-
-    #[test]
-    fn memory_backend_buffers_in_order() {
-        let mut b = MemoryBackend::new();
-        let items: Vec<TestItem> = (0..10).map(TestItem::new).collect();
-        StorageBackend::append_batch(&mut b, &items[..5]).unwrap();
-        StorageBackend::append_batch(&mut b, &items[5..]).unwrap();
-        assert_eq!(b.items(), &items[..]);
-        assert_eq!(b.into_items(), items);
-    }
 
     #[test]
     fn wal_backend_round_trips_and_reports_replay() {

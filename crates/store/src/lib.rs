@@ -9,10 +9,10 @@
 //!   (message rows, consolidated records, …).
 //! * [`WalWriter`] / [`WalReader`] — checksummed, corruption-tolerant
 //!   frame log (a torn tail costs at most the final record).
-//! * [`StorageBackend`] — the seam a writer appends through, with four
-//!   implementations: [`NullBackend`] (volatile), [`MemoryBackend`]
-//!   (in-memory buffer), [`WalBackend`] (one flat log — the seed's
-//!   behavior), and [`SegmentedBackend`] (the production shape).
+//! * [`StorageBackend`] — the seam a writer appends through, with three
+//!   implementations: [`NullBackend`] (volatile), [`WalBackend`] (one
+//!   flat log — the seed's behavior), and [`SegmentedBackend`] (the
+//!   production shape).
 //! * [`SegmentedBackend`] — appends to an active WAL, rotates it into
 //!   immutable checksummed segments at a size threshold, background-
 //!   compacts segments into sorted record runs, and recovers
@@ -60,7 +60,7 @@ pub mod segment;
 pub mod segmented;
 pub mod wal;
 
-pub use backend::{MemoryBackend, NullBackend, StorageBackend, WalBackend};
+pub use backend::{NullBackend, StorageBackend, WalBackend};
 pub use metrics::StoreMetrics;
 pub use segment::{read_segment, write_segment, SegmentRead};
 pub use segmented::{RecoveryStats, SegmentedBackend, SegmentedOptions};
@@ -94,14 +94,6 @@ pub struct ReplayStats {
     pub records: u64,
     /// Bytes discarded from a corrupt or torn tail.
     pub corrupt_tail_bytes: u64,
-}
-
-impl ReplayStats {
-    /// Fold another replay's counters into this one (multi-file stores).
-    pub fn absorb(&mut self, other: ReplayStats) {
-        self.records += other.records;
-        self.corrupt_tail_bytes += other.corrupt_tail_bytes;
-    }
 }
 
 #[cfg(test)]

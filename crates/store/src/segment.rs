@@ -45,11 +45,6 @@ impl<T> SegmentRead<T> {
             SegmentRead::Valid(v) | SegmentRead::Partial(v) => v,
         }
     }
-
-    /// True for [`SegmentRead::Valid`].
-    pub fn is_valid(&self) -> bool {
-        matches!(self, SegmentRead::Valid(_))
-    }
 }
 
 /// Write `items` as a segment at `path`, atomically: the content goes to
@@ -292,12 +287,12 @@ mod tests {
         }
 
         let want = oracle::<TestItem>(&data);
-        let want = (want.is_valid(), want.items());
+        let want = (matches!(want, SegmentRead::Valid(_)), want.items());
         for workers in [1, 2, 3, 8] {
             for block_frames in [1, 3, BLOCK_FRAMES] {
                 let got = parse_segment::<TestItem>(&data, workers, block_frames);
                 prop_assert_eq!(
-                    (got.is_valid(), got.items()),
+                    (matches!(got, SegmentRead::Valid(_)), got.items()),
                     want.clone(),
                     "{} workers, blocks of {}",
                     workers,
@@ -369,7 +364,10 @@ mod tests {
         let dir = temp_dir("seg-empty");
         let path = dir.join("e.seg");
         write_segment::<TestItem>(&path, &[]).unwrap();
-        assert!(read_segment::<TestItem>(&path).unwrap().is_valid());
+        assert!(matches!(
+            read_segment::<TestItem>(&path).unwrap(),
+            SegmentRead::Valid(_)
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -383,7 +381,10 @@ mod tests {
         for cut in [0, 3, 9, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..cut]).unwrap();
             let read = read_segment::<TestItem>(&path).unwrap();
-            assert!(!read.is_valid(), "cut {cut} must invalidate");
+            assert!(
+                !matches!(read, SegmentRead::Valid(_)),
+                "cut {cut} must invalidate"
+            );
             let got = read.items();
             assert!(got.len() <= items.len());
             assert_eq!(got[..], items[..got.len()], "prefix intact at cut {cut}");
@@ -401,7 +402,10 @@ mod tests {
         let n = data.len();
         data[n - 3] ^= 0x01; // inside the footer checksum
         std::fs::write(&path, &data).unwrap();
-        assert!(!read_segment::<TestItem>(&path).unwrap().is_valid());
+        assert!(!matches!(
+            read_segment::<TestItem>(&path).unwrap(),
+            SegmentRead::Valid(_)
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -413,7 +417,10 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data.push(0xAB);
         std::fs::write(&path, &data).unwrap();
-        assert!(!read_segment::<TestItem>(&path).unwrap().is_valid());
+        assert!(!matches!(
+            read_segment::<TestItem>(&path).unwrap(),
+            SegmentRead::Valid(_)
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -461,17 +461,6 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         compact_pass::<T>(&self.catalog, self.opts.compact_min_files, &self.metrics)
     }
 
-    /// Number of live `(segments, runs)` on disk.
-    pub fn file_census(&self) -> (usize, usize) {
-        let catalog = self.catalog.lock().expect("catalog lock");
-        let segs = catalog
-            .files
-            .values()
-            .filter(|f| f.kind == FileKind::Segment)
-            .count();
-        (segs, catalog.files.len() - segs)
-    }
-
     /// Total bytes of live sealed files (segments + runs) on disk —
     /// the store's durable footprint. Files that vanish mid-walk
     /// (compaction racing the census) count as zero; this is an
@@ -485,17 +474,6 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
             .filter_map(|f| std::fs::metadata(&f.path).ok())
             .map(|m| m.len())
             .sum()
-    }
-
-    /// Completed compaction passes (background and foreground), read
-    /// from the `store.compaction_passes` metric.
-    pub fn compaction_passes(&self) -> u64 {
-        self.metrics.compaction_passes.get()
-    }
-
-    /// The store's options.
-    pub fn options(&self) -> SegmentedOptions {
-        self.opts
     }
 }
 
@@ -553,6 +531,17 @@ mod tests {
         }
     }
 
+    /// Number of live `(segments, runs)` on disk.
+    fn file_census(b: &SegmentedBackend<TestItem>) -> (usize, usize) {
+        let catalog = b.catalog.lock().expect("catalog lock");
+        let segs = catalog
+            .files
+            .values()
+            .filter(|f| f.kind == FileKind::Segment)
+            .count();
+        (segs, catalog.files.len() - segs)
+    }
+
     fn items(range: std::ops::Range<u64>) -> Vec<TestItem> {
         range.map(TestItem::new).collect()
     }
@@ -574,7 +563,7 @@ mod tests {
                 b.append_batch(chunk).unwrap();
             }
             b.sync().unwrap();
-            let (segs, runs) = b.file_census();
+            let (segs, runs) = file_census(&b);
             assert!(segs > 1, "tiny rotate threshold must produce segments");
             assert_eq!(runs, 0);
         }
@@ -611,10 +600,10 @@ mod tests {
             SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
         b.append_batch(&all).unwrap();
         b.sync().unwrap();
-        let (segs_before, _) = b.file_census();
+        let (segs_before, _) = file_census(&b);
         assert!(segs_before >= 2);
         assert!(b.compact_now().unwrap());
-        let (segs, runs) = b.file_census();
+        let (segs, runs) = file_census(&b);
         assert_eq!((segs, runs), (0, 1));
         drop(b);
 
@@ -641,7 +630,7 @@ mod tests {
         b.sync().unwrap();
         // Now: one run + fresh segments. Compact again merges run + segs.
         assert!(b.compact_now().unwrap());
-        let (segs, runs) = b.file_census();
+        let (segs, runs) = file_census(&b);
         assert_eq!((segs, runs), (0, 1));
         drop(b);
         let (_b, recovered, _) =
@@ -684,8 +673,8 @@ mod tests {
         // file count collapses well below the rotation count.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
-            let (segs, runs) = b.file_census();
-            if b.compaction_passes() >= 1 && segs + runs <= 3 && runs >= 1 {
+            let (segs, runs) = file_census(&b);
+            if b.metrics.compaction_passes.get() >= 1 && segs + runs <= 3 && runs >= 1 {
                 break;
             }
             assert!(
@@ -713,7 +702,7 @@ mod tests {
         // Build a large run…
         b.append_batch(&items(0..400)).unwrap();
         assert!(b.compact_now().unwrap());
-        let (_, runs) = b.file_census();
+        let (_, runs) = file_census(&b);
         assert_eq!(runs, 1);
         let run_sizes = |dir: &std::path::Path| -> Vec<u64> {
             let mut sizes: Vec<u64> = std::fs::read_dir(dir)
@@ -730,10 +719,10 @@ mod tests {
         // the new segments, leaving the big run untouched.
         b.append_batch(&items(400..440)).unwrap();
         b.sync().unwrap();
-        let (segs_before, _) = b.file_census();
+        let (segs_before, _) = file_census(&b);
         assert!(segs_before >= 2, "need at least two fresh segments");
         assert!(b.compact_now().unwrap());
-        let (segs, runs) = b.file_census();
+        let (segs, runs) = file_census(&b);
         assert_eq!(segs, 0, "fresh segments merged");
         assert_eq!(runs, 2, "dominant run left alone");
         assert_eq!(

@@ -16,7 +16,7 @@ use siren_hash::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// First byte of every frame.
@@ -170,7 +170,6 @@ fn decode_block<T: Persist>(data: &[u8], block: &[(usize, usize)], out: &mut Vec
 #[derive(Debug)]
 pub struct WalWriter<T: Persist> {
     out: BufWriter<File>,
-    path: PathBuf,
     bytes: u64,
     /// Buffer the next frame is encoded into, reused across appends.
     frame: Vec<u8>,
@@ -184,7 +183,6 @@ impl<T: Persist> WalWriter<T> {
         let bytes = file.metadata()?.len();
         Ok(Self {
             out: BufWriter::new(file),
-            path: path.to_path_buf(),
             bytes,
             frame: Vec::new(),
             _marker: PhantomData,
@@ -213,11 +211,6 @@ impl<T: Persist> WalWriter<T> {
     /// Bytes written to this log so far (including pre-existing content).
     pub fn bytes_written(&self) -> u64 {
         self.bytes
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

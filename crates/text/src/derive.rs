@@ -107,11 +107,6 @@ impl SubstringDeriver {
         }
         out
     }
-
-    /// The configured substring list.
-    pub fn substrings(&self) -> &[String] {
-        &self.substrings
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +173,7 @@ mod tests {
         let d = SubstringDeriver::new(&["alpha", "beta"]);
         assert_eq!(d.derive("x/alpha/libbeta.so"), Some("alpha-beta".into()));
         assert_eq!(d.derive("x/gamma.so"), None);
-        assert_eq!(d.substrings().len(), 2);
+        assert_eq!(d.substrings.len(), 2);
     }
 
     #[test]

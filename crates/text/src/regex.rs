@@ -336,7 +336,6 @@ enum State {
 pub struct Regex {
     states: Vec<State>,
     start: usize,
-    pattern: String,
 }
 
 impl Regex {
@@ -362,13 +361,7 @@ impl Regex {
         Ok(Self {
             states: builder.states,
             start: frag_start.start,
-            pattern: pattern.to_string(),
         })
-    }
-
-    /// The original pattern text.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
     }
 
     /// Unanchored search: does any substring of `text` match?
@@ -578,25 +571,6 @@ impl RuleSet {
             .find(|(_, re)| re.is_match(text))
             .map(|(label, _)| label.as_str())
     }
-
-    /// All labels whose patterns match `text`, in rule order.
-    pub fn all_matches(&self, text: &str) -> Vec<&str> {
-        self.rules
-            .iter()
-            .filter(|(_, re)| re.is_match(text))
-            .map(|(label, _)| label.as_str())
-            .collect()
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True if no rules are present.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -704,7 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn ruleset_first_and_all() {
+    fn ruleset_first_match_in_rule_order() {
         let rules = RuleSet::new(&[
             ("LAMMPS", "lmp|lammps"),
             ("GROMACS", "gmx|gromacs"),
@@ -714,9 +688,7 @@ mod tests {
         assert_eq!(rules.first_match("/users/x/lmp_mpi"), Some("LAMMPS"));
         assert_eq!(rules.first_match("/appl/gromacs/bin/gmx"), Some("GROMACS"));
         assert_eq!(rules.first_match("/users/x/unknown_binary"), None);
-        assert_eq!(rules.all_matches("/x/icon-gmx"), vec!["GROMACS", "icon"]);
-        assert_eq!(rules.len(), 3);
-        assert!(!rules.is_empty());
+        assert_eq!(rules.first_match("/x/icon-gmx"), Some("GROMACS"));
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl Reassembler {
         }
     }
 
-    /// Number of messages still waiting for chunks.
-    pub fn pending(&self) -> usize {
-        self.partial.len()
-    }
-
     /// Drain all incomplete messages (e.g. at end of a collection run),
     /// reporting what was lost. The reassembler is left empty.
     pub fn drain_incomplete(&mut self) -> Vec<IncompleteMessage> {
@@ -167,7 +162,7 @@ mod tests {
         assert_eq!(msgs.len(), 1);
         let done = r.push(msgs[0].clone()).unwrap();
         assert_eq!(done.content, "mod1;mod2");
-        assert_eq!(r.pending(), 0);
+        assert_eq!(r.partial.len(), 0);
     }
 
     #[test]
@@ -241,13 +236,13 @@ mod tests {
                 assert!(r.push(m.clone()).is_none());
             }
         }
-        assert_eq!(r.pending(), 1);
+        assert_eq!(r.partial.len(), 1);
         let incomplete = r.drain_incomplete();
         assert_eq!(incomplete.len(), 1);
         assert_eq!(incomplete[0].expected as usize, msgs.len());
         assert_eq!(incomplete[0].received as usize, msgs.len() - 1);
         assert!(incomplete[0].partial_content.len() < 3000);
-        assert_eq!(r.pending(), 0);
+        assert_eq!(r.partial.len(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Job-keyed shard routing.
 
-use crate::{Message, MessageType, MAGIC};
+use crate::{Message, MessageType};
 use siren_hash::xxh64;
 
 /// Maps job ids to shard indexes by hashing, so load spreads evenly even
@@ -40,29 +40,6 @@ impl ShardRouter {
             return None;
         }
         Some(self.shard_of_job(msg.header.job_id))
-    }
-
-    /// Shard for an encoded datagram, without a full decode: scans the
-    /// header region for `JOBID=` and parses its digits. `None` when the
-    /// datagram is not a well-formed SIREN payload datagram (including
-    /// sentinels, which carry `TYPE=END`).
-    ///
-    /// This is the sender-side fast path: a multi-socket UDP sender must
-    /// pick a destination socket per datagram at line rate.
-    pub fn shard_of_datagram(&self, datagram: &[u8]) -> Option<usize> {
-        let text = std::str::from_utf8(datagram).ok()?;
-        let rest = text.strip_prefix(MAGIC)?;
-        // Only search the header region; CONTENT may contain anything.
-        let header_end = rest.find("CONTENT=").unwrap_or(rest.len());
-        let head = &rest[..header_end];
-        if head.contains("|TYPE=END") {
-            return None;
-        }
-        let jobid_at = head.find("|JOBID=")? + "|JOBID=".len();
-        let digits: &str = &head[jobid_at..];
-        let end = digits.find('|').unwrap_or(digits.len());
-        let job_id: u64 = digits[..end].parse().ok()?;
-        Some(self.shard_of_job(job_id))
     }
 }
 
@@ -112,24 +89,17 @@ mod tests {
     }
 
     #[test]
-    fn datagram_routing_matches_message_routing() {
+    fn message_routing_follows_the_job_id() {
         let r = ShardRouter::new(8);
         for job in [0u64, 1, 17, 8_812_345, u64::MAX] {
-            let m = msg(job);
-            // CONTENT containing "JOBID=" must not confuse the router.
-            assert_eq!(r.shard_of_datagram(&m.encode()), Some(r.shard_of_job(job)));
-            assert_eq!(r.shard_of(&m), Some(r.shard_of_job(job)));
+            assert_eq!(r.shard_of(&msg(job)), Some(r.shard_of_job(job)));
         }
     }
 
     #[test]
-    fn sentinels_and_garbage_route_nowhere() {
+    fn sentinels_route_nowhere() {
         let r = ShardRouter::new(4);
-        let s = sentinel_message(1, 10);
-        assert_eq!(r.shard_of(&s), None);
-        assert_eq!(r.shard_of_datagram(&s.encode()), None);
-        assert_eq!(r.shard_of_datagram(b"not siren"), None);
-        assert_eq!(r.shard_of_datagram(&[0xFF, 0xFE]), None);
+        assert_eq!(r.shard_of(&sentinel_message(1, 10)), None);
     }
 
     #[test]

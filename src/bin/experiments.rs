@@ -8,8 +8,7 @@
 //! cargo run --release --bin experiments -- all --scale 0.05 --seed 7
 //! ```
 //!
-//! Output goes to stdout; `EXPERIMENTS.md` records a reference run and
-//! compares shapes against the paper's published values.
+//! Output goes to stdout.
 
 use siren_core::analysis::{self, Labeler};
 use siren_core::collector::PolicyMode;

@@ -1,7 +1,6 @@
 //! Integration tests asserting the *shape* of every paper artifact over a
 //! full end-to-end deployment: who wins, orderings, structural counts.
-//! Absolute numbers scale with the campaign factor and are not asserted
-//! (see EXPERIMENTS.md for the paper-vs-measured record).
+//! Absolute numbers scale with the campaign factor and are not asserted.
 
 use siren_repro::analysis::{self, Labeler};
 use siren_repro::cluster::python::PACKAGE_CATALOG;

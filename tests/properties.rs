@@ -651,7 +651,7 @@ fn reference_fold(messages: &[Message]) -> ReferenceFold {
 /// campaign, collector and seeded channel `Deployment::run` drives.
 fn simulated_stream(cfg: &DeploymentConfig) -> Vec<Message> {
     let (tx, rx) = SimChannel::create(cfg.channel);
-    let mut collector = Collector::new(&tx, cfg.policy).with_max_datagram(cfg.max_datagram);
+    let mut collector = Collector::new(&tx, cfg.policy);
     Campaign::new(cfg.campaign.clone()).run(|ctx| collector.observe(&ctx));
     rx.drain_messages().0
 }
@@ -686,7 +686,6 @@ proptest! {
                 seed: campaign_seed,
                 ..CampaignConfig::default()
             },
-            ..FleetConfig::default()
         };
 
         // Collect both campaigns once, with injected loss, so the crashed
