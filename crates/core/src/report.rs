@@ -166,7 +166,6 @@ pub fn telemetry_report(metrics: &MetricsSnapshot) -> String {
             c("store.compaction_passes"),
             c("store.compaction_bytes")
         ));
-        hist_line(&mut out, metrics, "wal fsync", "store.wal_fsync_ns");
         hist_line(&mut out, metrics, "segment seal", "store.segment_seal_ns");
         hist_line(&mut out, metrics, "compaction", "store.compaction_ns");
     }

@@ -122,9 +122,7 @@ impl Record {
 }
 
 /// Storage integration: the WAL payload codec doubles as the [`Persist`]
-/// codec, and the consolidation key `(job, host, time, pid, exe hash)`
-/// — extended with the remaining columns for totality — is the order
-/// compaction sorts segmented-store runs by.
+/// codec.
 ///
 /// [`Persist`]: siren_store::Persist
 impl siren_store::Persist for Record {
@@ -134,38 +132,6 @@ impl siren_store::Persist for Record {
 
     fn decode(data: &[u8]) -> Option<Self> {
         Record::decode(data)
-    }
-
-    fn order(a: &Self, b: &Self) -> std::cmp::Ordering {
-        (
-            a.job_id,
-            &a.host,
-            a.time,
-            a.pid,
-            &a.exe_hash,
-            a.step_id,
-            layer_tag(a.layer),
-            type_tag(a.mtype),
-            &a.content,
-        )
-            .cmp(&(
-                b.job_id,
-                &b.host,
-                b.time,
-                b.pid,
-                &b.exe_hash,
-                b.step_id,
-                layer_tag(b.layer),
-                type_tag(b.mtype),
-                &b.content,
-            ))
-    }
-}
-
-fn layer_tag(layer: Layer) -> u8 {
-    match layer {
-        Layer::SelfExe => 0,
-        Layer::Script => 1,
     }
 }
 

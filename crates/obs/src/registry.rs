@@ -1,7 +1,7 @@
 //! The named metric tree.
 //!
 //! Names are dotted paths, `<area>.<metric>[_<unit>]` — e.g.
-//! `ingest.datagrams`, `store.wal_fsync_ns`, `query.exec_ns`,
+//! `ingest.datagrams`, `store.segment_seal_ns`, `query.exec_ns`,
 //! `cursor.open`. Handles are registered once at startup (get-or-create
 //! by name) and cached by the instrumented component; the registry's
 //! locks are touched only at registration and snapshot time, never on

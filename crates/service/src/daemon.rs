@@ -52,14 +52,6 @@ impl StoredItem {
             StoredItem::Seal(epoch) => *epoch,
         }
     }
-
-    /// Rows sort before the seal within an epoch.
-    fn kind_tag(&self) -> u8 {
-        match self {
-            StoredItem::Row(_) => 0,
-            StoredItem::Seal(_) => 1,
-        }
-    }
 }
 
 impl Persist for StoredItem {
@@ -93,22 +85,6 @@ impl Persist for StoredItem {
             1 if data.len() == 9 => Some(StoredItem::Seal(epoch)),
             _ => None,
         }
-    }
-
-    fn order(a: &Self, b: &Self) -> std::cmp::Ordering {
-        // Epoch, then rows-before-seal, then the consolidation order —
-        // within one epoch row keys are unique (consolidation groups by
-        // them), so this is effectively total; the stable compaction
-        // sort breaks any remaining tie by arrival.
-        a.epoch()
-            .cmp(&b.epoch())
-            .then_with(|| a.kind_tag().cmp(&b.kind_tag()))
-            .then_with(|| match (a, b) {
-                (StoredItem::Row(x), StoredItem::Row(y)) => {
-                    siren_consolidate::record_order(&x.record, &y.record)
-                }
-                _ => std::cmp::Ordering::Equal,
-            })
     }
 }
 
@@ -214,7 +190,8 @@ pub struct DaemonRecovery {
     pub committed_epochs: Vec<u64>,
     /// Consolidated records loaded.
     pub consolidated_records: u64,
-    /// Consolidated-store recovery detail (torn tails, segments, runs).
+    /// Consolidated-store recovery detail (segments, runs, partial and
+    /// superseded files).
     pub store: RecoveryStats,
     /// The uncommitted epoch resumed from its message WALs, if any.
     /// Its already-received rows are replayed into the epoch's ingest
@@ -468,9 +445,10 @@ impl SirenDaemon {
             .publish_sealed_bytes(daemon.store.sealed_bytes());
 
         // Resume the newest uncommitted epoch; commit any older ones
-        // outright (their campaigns ended with the crash).
+        // outright, oldest first, so commit order stays epoch order
+        // (their campaigns ended with the crash).
         if let Some(&(resume, resume_shards)) = leftovers.iter().next_back() {
-            for &(epoch, shards) in leftovers.iter().rev().skip(1) {
+            for &(epoch, shards) in leftovers.iter().take(leftovers.len() - 1) {
                 daemon.open = Some(daemon.spawn_epoch(epoch, shards)?);
                 daemon.close_epoch()?;
             }
@@ -987,6 +965,107 @@ mod tests {
                 out
             }
         }
+    }
+
+    fn temp_data_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("siren-daemon-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn meta_row(job_id: u64, pid: u32) -> Record {
+        Record {
+            job_id,
+            step_id: 0,
+            pid,
+            exe_hash: format!("e{job_id}"),
+            host: "node1".into(),
+            time: 1_700_000_000 + job_id,
+            layer: Layer::SelfExe,
+            mtype: MessageType::Meta,
+            content: "path=/usr/bin/python3;user=user_1".into(),
+        }
+    }
+
+    /// Epochs of the snapshot's records, in commit order, run-length
+    /// collapsed.
+    fn epoch_runs(daemon: &SirenDaemon) -> Vec<u64> {
+        let mut runs: Vec<u64> = daemon.snapshot().iter().map(|r| r.epoch).collect();
+        runs.dedup();
+        runs
+    }
+
+    #[test]
+    fn older_leftover_epochs_commit_oldest_first() {
+        use siren_db::{StorageBackend, WalBackend};
+        let dir = temp_data_dir("leftovers");
+        let cfg = ServiceConfig::at(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Three epochs whose campaigns were all mid-stream at a crash:
+        // each left one shard WAL of message rows and nothing committed.
+        for epoch in 0..3u64 {
+            let ingest = IngestConfig {
+                wal_base: Some(cfg.epoch_msgs_base(epoch, 1)),
+                ..IngestConfig::with_shards_unclamped(1)
+            };
+            let path = ingest.shard_wal_path(0).unwrap();
+            let (mut wal, _, _) = WalBackend::<Record>::open(&path).unwrap();
+            let rows: Vec<Record> = (0..3)
+                .map(|i| meta_row(epoch * 10 + i, (epoch * 100 + i) as u32))
+                .collect();
+            wal.append_batch(&rows).unwrap();
+            wal.sync().unwrap();
+        }
+
+        let (mut daemon, recovery) = SirenDaemon::open(cfg.clone()).unwrap();
+        assert_eq!(recovery.resumed_epoch, Some(2));
+        assert_eq!(daemon.open_epoch(), Some(2));
+        assert_eq!(daemon.committed_epochs(), vec![0, 1]);
+        assert_eq!(
+            epoch_runs(&daemon),
+            vec![0, 1],
+            "commit order is epoch order"
+        );
+        daemon.close_epoch().unwrap();
+        assert_eq!(epoch_runs(&daemon), vec![0, 1, 2]);
+        drop(daemon);
+
+        let (daemon, recovery) = SirenDaemon::open(cfg).unwrap();
+        assert_eq!(recovery.committed_epochs, vec![0, 1, 2]);
+        assert_eq!(daemon.snapshot().len(), 9);
+        assert_eq!(epoch_runs(&daemon), vec![0, 1, 2]);
+        drop(daemon);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn consolidated_store_holds_no_wal_after_commits_and_reopen() {
+        let dir = temp_data_dir("no-wal");
+        let cfg = ServiceConfig::at(&dir);
+        let wals = || -> Vec<PathBuf> {
+            std::fs::read_dir(cfg.consolidated_dir())
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+                .collect()
+        };
+        for round in 0..2u64 {
+            let (mut daemon, _) = SirenDaemon::open(cfg.clone()).unwrap();
+            for i in 0..5u64 {
+                let row = meta_row(round * 10 + i, i as u32);
+                let mut record = ProcessRecord::new(&row);
+                record.absorb(&row);
+                daemon.import_epoch(vec![record]).unwrap();
+                assert_eq!(wals(), Vec::<PathBuf>::new());
+            }
+            drop(daemon);
+            assert_eq!(wals(), Vec::<PathBuf>::new());
+        }
+        let (daemon, recovery) = SirenDaemon::open(cfg.clone()).unwrap();
+        assert_eq!(recovery.committed_epochs, (0..10).collect::<Vec<u64>>());
+        assert_eq!(wals(), Vec::<PathBuf>::new());
+        drop(daemon);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn temp_data_dir(tag: &str) -> PathBuf {
 
 fn tight_store() -> SegmentedOptions {
     SegmentedOptions {
-        rotate_bytes: 16 * 1024,
         compact_min_files: 2,
         background_compaction: false,
     }

@@ -50,7 +50,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn server_config(dir: &PathBuf) -> ServiceConfig {
     ServiceConfig {
         store: SegmentedOptions {
-            rotate_bytes: 64 * 1024,
             compact_min_files: 4,
             background_compaction: false,
         },

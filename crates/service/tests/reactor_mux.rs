@@ -55,7 +55,6 @@ fn temp_data_dir(tag: &str) -> PathBuf {
 fn server_config(dir: &PathBuf) -> ServiceConfig {
     ServiceConfig {
         store: SegmentedOptions {
-            rotate_bytes: 16 * 1024,
             compact_min_files: 2,
             background_compaction: false,
         },

@@ -14,6 +14,7 @@ use siren_db::Record;
 use siren_fuzzy::{similarity_search, FuzzyHash};
 use siren_proto::Selection;
 use siren_service::{EpochRecord, QuerySnapshot, ServiceConfig, SirenDaemon};
+use siren_store::SegmentedOptions;
 use siren_wire::{Layer, MessageType};
 
 // ---------------------------------------------------- generators --
@@ -245,11 +246,17 @@ fn daemon_import_and_crash_resume_preserve_equivalence() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let epochs = arb_epochs(&mut rng);
+        // At least `compact_min_files` epochs go in before the reopen, so
+        // the store compacts them into a run that the reopen reads back.
+        let min_files = SegmentedOptions::default().compact_min_files;
+        let mut epochs = arb_epochs(&mut rng);
+        while epochs.len() <= min_files {
+            epochs.extend(arb_epochs(&mut rng));
+        }
         let mut all: Vec<EpochRecord> = Vec::new();
 
         // First half of the epochs: bulk `import_epoch` commits.
-        let split = epochs.len() / 2;
+        let split = (epochs.len() / 2).max(min_files);
         {
             let (mut daemon, _) = SirenDaemon::open(ServiceConfig::at(&dir)).unwrap();
             for records in &epochs[..split] {
@@ -258,6 +265,18 @@ fn daemon_import_and_crash_resume_preserve_equivalence() {
             }
             assert_equivalent(2000 + case, &daemon.snapshot(), &all);
         }
+        // Dropping the daemon ran the compactor's queued passes.
+        let runs = std::fs::read_dir(dir.join("consolidated"))
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "run")
+            })
+            .count();
+        assert_eq!(runs, 1, "case {case}: the committed epochs were compacted");
 
         // Reopen (commit-then-stop is the crash-resume commit path:
         // recovery rebuilds the base layer from the store) and stack

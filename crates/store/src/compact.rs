@@ -1,5 +1,5 @@
-//! Background compaction: merge contiguous sealed files into one sorted
-//! run.
+//! Background compaction: merge contiguous sealed files into one run,
+//! concatenated in generation order — the order they were committed in.
 //!
 //! The compactor only ever reads immutable files and performs one atomic
 //! rename, so it needs the catalog lock only to snapshot the input set
@@ -33,7 +33,7 @@ pub(crate) struct Compactor {
 }
 
 impl Compactor {
-    pub(crate) fn spawn<T: Persist + Clone>(
+    pub(crate) fn spawn<T: Persist>(
         catalog: Arc<Mutex<Catalog>>,
         min_files: usize,
         metrics: StoreMetrics,
@@ -75,9 +75,8 @@ impl Compactor {
 }
 
 /// One compaction pass: if at least `min_files` sealed files are live,
-/// merge them all into a single sorted run. Returns whether a merge
-/// happened.
-pub(crate) fn compact_pass<T: Persist + Clone>(
+/// merge them all into a single run. Returns whether a merge happened.
+pub(crate) fn compact_pass<T: Persist>(
     catalog: &Arc<Mutex<Catalog>>,
     min_files: usize,
     metrics: &StoreMetrics,
@@ -116,7 +115,10 @@ pub(crate) fn compact_pass<T: Persist + Clone>(
     }
 
     // Read and merge outside the lock — inputs are immutable. One
-    // reader thread: the compactor runs beside ingest and queries.
+    // reader thread: the compactor runs beside ingest and queries. The
+    // catalog lists files by generation, so concatenating them keeps
+    // commit order; a run's bytes are exactly `write_segment` over its
+    // inputs' items in that order.
     let mut merged: Vec<T> = Vec::new();
     for file in &inputs {
         match read_segment_with::<T>(&file.path, 1)? {
@@ -128,7 +130,6 @@ pub(crate) fn compact_pass<T: Persist + Clone>(
             }
         }
     }
-    merged.sort_by(T::order); // stable: equal records keep arrival order
 
     let start = inputs.first().expect("non-empty input set").start;
     let end = inputs.last().expect("non-empty input set").end;

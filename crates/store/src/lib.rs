@@ -5,52 +5,58 @@
 //! deployment. This crate is the storage subsystem the long-running
 //! service tier builds on:
 //!
-//! * [`Persist`] — binary codec + total order for any storable item
-//!   (message rows, consolidated records, …).
+//! * [`Persist`] — the binary codec of any storable item (message rows,
+//!   consolidated records, …).
 //! * [`WalWriter`] / [`WalReader`] — checksummed, corruption-tolerant
 //!   frame log (a torn tail costs at most the final record).
-//! * [`StorageBackend`] — the seam a writer appends through, with three
-//!   implementations: [`NullBackend`] (volatile), [`WalBackend`] (one
-//!   flat log — the seed's behavior), and [`SegmentedBackend`] (the
-//!   production shape).
-//! * [`SegmentedBackend`] — appends to an active WAL, rotates it into
-//!   immutable checksummed segments at a size threshold, background-
-//!   compacts segments into sorted record runs, and recovers
-//!   crash-consistently from any interleaving of those steps.
+//! * [`StorageBackend`] — the seam an ingest shard appends its rows
+//!   through: [`NullBackend`] (volatile) or [`WalBackend`] (one flat
+//!   log).
+//! * [`SegmentedBackend`] — the daemon's consolidated store: every
+//!   write is one batch sealed as an immutable checksummed segment; a
+//!   compactor concatenates contiguous files into runs in generation
+//!   order, so the store always reads back in commit order; recovery is
+//!   crash-consistent at any kill point of either step.
 //!
 //! ## On-disk layout of a segmented store
 //!
 //! ```text
 //! store/
-//!   wal-0000000007.wal        active WAL (exactly one after recovery)
-//!   seg-0000000004.seg        sealed segment, generation 4, arrival order
+//!   run-0000000000-0000000003.run   generations 0..=3, concatenated in order
+//!   seg-0000000004.seg              the batch sealed as generation 4
 //!   seg-0000000005.seg
-//!   run-0000000000-0000000003.run   sorted run covering generations 0..=3
 //! ```
+//!
+//! There is no write-ahead log. A store written before sealed-only
+//! stores also holds one empty `wal-N.wal`, which recovery removes; a
+//! non-empty one fails [`SegmentedBackend::open`] with
+//! [`std::io::ErrorKind::InvalidData`] naming the file.
 //!
 //! ## Crash-consistency contract
 //!
 //! Every mutation is ordered so that a kill at any instant loses at most
-//! the unsynced tail of the active WAL and never duplicates a record:
+//! the batch being sealed, whole, and never duplicates or reorders a
+//! record:
 //!
-//! 1. **Rotation**: seal `wal-N` → write `seg-N.tmp`, fsync, rename to
-//!    `seg-N.seg` → create `wal-N+1` → delete `wal-N`. Recovery treats a
-//!    `seg-N` + `wal-N` pair as a completed seal (the WAL is dropped),
-//!    a lone `wal-N` as pending (replayed and sealed), and a `*.tmp` as
-//!    garbage.
-//! 2. **Compaction**: merge whole contiguous files into `run-A-B.tmp`,
-//!    fsync, rename → delete inputs. A valid `run-A-B` *supersedes* every
-//!    segment or narrower run inside `[A, B]`; recovery deletes the
-//!    leftovers, so a kill between rename and input deletion cannot
-//!    double-count.
-//! 3. **Sealed appends** ([`SegmentedBackend::append_sealed`]): one
-//!    atomic segment per call — either the whole batch is present after
-//!    restart or none of it, which is what the service tier's per-epoch
-//!    commits require.
+//! 1. **Sealed appends** ([`SegmentedBackend::append_sealed`]): write
+//!    `seg-N.tmp`, fsync, rename to `seg-N.seg`. Either the whole batch
+//!    is present after restart, after every batch sealed before it, or
+//!    none of it; a `*.tmp` is always garbage.
+//! 2. **Compaction**: concatenate whole contiguous files, in generation
+//!    order, into `run-A-B.tmp`, fsync, rename → delete inputs. A valid
+//!    `run-A-B` *supersedes* every segment or narrower run inside
+//!    `[A, B]`; recovery deletes the leftovers, so a kill between rename
+//!    and input deletion cannot double-count. A torn run is discarded
+//!    and its inputs stay live.
 //!
-//! The property tests in this crate fuzz kill points (torn WAL tails,
-//! partial segment files, interrupted rotations and compactions) and
-//! assert the recovered record multiset is exactly the durable prefix.
+//! Media damage is outside that contract: a sealed segment that was
+//! whole once and is torn or corrupt now recovers its intact frame
+//! prefix — a prefix of the batch, not the whole epoch it held — and is
+//! rewritten valid.
+//!
+//! `tests/crash_recovery.rs` fuzzes kill points of both steps and the
+//! torn-segment salvage, and asserts the recovered records are exactly
+//! the durable prefix, in commit order.
 
 pub mod backend;
 pub mod codec;
@@ -66,11 +72,10 @@ pub use segment::{read_segment, write_segment, SegmentRead};
 pub use segmented::{RecoveryStats, SegmentedBackend, SegmentedOptions};
 pub use wal::{encode_frame, WalReader, WalWriter, FRAME_MAGIC, MAX_PAYLOAD};
 
-/// Binary codec + total order for storable items.
+/// Binary codec for storable items.
 ///
 /// `decode` must reject structurally inconsistent payloads with `None`
-/// (never panic), and `order` must be a total order — compaction sorts
-/// runs by it, and partitioned consumers merge by it.
+/// (never panic).
 pub trait Persist: Sized + Send + Sync + 'static {
     /// Encode to a self-contained payload.
     fn encode(&self) -> Vec<u8>;
@@ -83,8 +88,6 @@ pub trait Persist: Sized + Send + Sync + 'static {
     }
     /// Decode a payload; `None` on any structural inconsistency.
     fn decode(data: &[u8]) -> Option<Self>;
-    /// The total order compaction sorts runs by.
-    fn order(a: &Self, b: &Self) -> std::cmp::Ordering;
 }
 
 /// Statistics from replaying one WAL file.
@@ -101,7 +104,7 @@ pub(crate) mod testitem {
     use super::Persist;
 
     /// Minimal Persist implementor for the crate's own tests.
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct TestItem {
         pub key: u64,
         pub body: String,
@@ -136,10 +139,6 @@ pub(crate) mod testitem {
                 key,
                 body: String::from_utf8(body.to_vec()).ok()?,
             })
-        }
-
-        fn order(a: &Self, b: &Self) -> std::cmp::Ordering {
-            a.cmp(b)
         }
     }
 

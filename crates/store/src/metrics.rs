@@ -1,10 +1,10 @@
 //! Storage-layer metric handles.
 //!
 //! One bundle of `Arc` handles covering the segmented store's span
-//! points: WAL fsync latency, segment seal latency, and compaction
-//! duration/volume. Registered under `store.*` when the caller shares a
-//! [`Registry`]; a detached bundle (private, unregistered atomics)
-//! otherwise, so the instrumented paths never branch on an `Option`.
+//! points: segment seal latency and compaction duration/volume.
+//! Registered under `store.*` when the caller shares a [`Registry`]; a
+//! detached bundle (private, unregistered atomics) otherwise, so the
+//! instrumented paths never branch on an `Option`.
 
 use siren_obs::{Counter, Histogram, Registry, SpanBuffer};
 use std::sync::Arc;
@@ -17,16 +17,14 @@ pub struct StoreMetrics {
     /// this flight recorder (attached via [`StoreMetrics::with_spans`];
     /// detached bundles record none).
     pub spans: Option<Arc<SpanBuffer>>,
-    /// `store.wal_fsync_ns` — flush+fsync latency of the active WAL.
-    pub wal_fsync_ns: Arc<Histogram>,
     /// `store.segment_seal_ns` — time to write and catalog one sealed
-    /// segment (rotation or sealed batch append).
+    /// batch.
     pub segment_seal_ns: Arc<Histogram>,
     /// `store.segments_sealed` — sealed segments written.
     pub segments_sealed: Arc<Counter>,
     /// `store.compaction_ns` — duration of completed compaction passes.
     pub compaction_ns: Arc<Histogram>,
-    /// `store.compaction_bytes` — bytes written into sorted runs.
+    /// `store.compaction_bytes` — bytes written into runs.
     pub compaction_bytes: Arc<Counter>,
     /// `store.compaction_passes` — completed passes that merged files.
     pub compaction_passes: Arc<Counter>,
@@ -43,7 +41,6 @@ impl StoreMetrics {
     pub fn register(registry: &Registry) -> Self {
         Self {
             spans: None,
-            wal_fsync_ns: registry.histogram("store.wal_fsync_ns"),
             segment_seal_ns: registry.histogram("store.segment_seal_ns"),
             segments_sealed: registry.counter("store.segments_sealed"),
             compaction_ns: registry.histogram("store.compaction_ns"),
@@ -66,7 +63,6 @@ impl StoreMetrics {
     pub fn detached() -> Self {
         Self {
             spans: None,
-            wal_fsync_ns: Arc::new(Histogram::new()),
             segment_seal_ns: Arc::new(Histogram::new()),
             segments_sealed: Arc::new(Counter::new()),
             compaction_ns: Arc::new(Histogram::new()),

@@ -1,12 +1,8 @@
-//! The segmented backend: active WAL → sealed segments → sorted runs.
+//! The segmented backend: sealed batches → merged runs, in commit order.
 
-use crate::backend::StorageBackend;
 use crate::compact::{compact_pass, Compactor};
 use crate::metrics::StoreMetrics;
-use crate::segment::{
-    available_workers, read_segment_with, sync_parent_dir, write_segment, SegmentRead,
-};
-use crate::wal::{WalReader, WalWriter};
+use crate::segment::{available_workers, read_segment_with, write_segment, SegmentRead};
 use crate::Persist;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -16,9 +12,6 @@ use std::time::Instant;
 /// Tuning knobs for a segmented store.
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentedOptions {
-    /// Rotate the active WAL into a sealed segment once it exceeds this
-    /// many bytes.
-    pub rotate_bytes: u64,
     /// Compact once at least this many sealed files (segments + runs)
     /// are live.
     pub compact_min_files: usize,
@@ -31,7 +24,6 @@ pub struct SegmentedOptions {
 impl Default for SegmentedOptions {
     fn default() -> Self {
         Self {
-            rotate_bytes: 1 << 20,
             compact_min_files: 4,
             background_compaction: true,
         }
@@ -41,31 +33,25 @@ impl Default for SegmentedOptions {
 /// What recovery found and did while opening a segmented store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Records loaded into memory across all live files and WALs.
+    /// Records loaded into memory across all live files.
     pub records_loaded: u64,
-    /// Records replayed out of leftover WAL files.
-    pub wal_records_replayed: u64,
-    /// Bytes dropped from torn WAL tails.
-    pub wal_tail_bytes_discarded: u64,
     /// Valid sealed segments adopted.
     pub segments_loaded: usize,
-    /// Valid sorted runs adopted.
+    /// Valid runs adopted.
     pub runs_loaded: usize,
-    /// Partial files discarded (`*.tmp` leftovers, torn segments).
+    /// Partial files discarded or salvaged (`*.tmp` leftovers, torn
+    /// runs, torn segments cut back to their intact prefix).
     pub partial_files_discarded: usize,
     /// Files deleted because a wider run superseded them.
     pub superseded_files_removed: usize,
-    /// Rotations that had sealed their segment but not yet removed the
-    /// source WAL when the process died; recovery finished them.
-    pub interrupted_rotations_completed: usize,
 }
 
 /// Kind of a sealed (immutable) file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FileKind {
-    /// Arrival-order segment from one WAL generation.
+    /// One [`SegmentedBackend::append_sealed`] batch.
     Segment,
-    /// Sorted run covering a contiguous generation range.
+    /// Merge of a contiguous generation range, in generation order.
     Run,
 }
 
@@ -86,10 +72,6 @@ pub(crate) struct Catalog {
     pub files: BTreeMap<u64, SealedFile>,
 }
 
-pub(crate) fn wal_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("wal-{generation:010}.wal"))
-}
-
 pub(crate) fn seg_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("seg-{generation:010}.seg"))
 }
@@ -101,7 +83,9 @@ pub(crate) fn run_path(dir: &Path, start: u64, end: u64) -> PathBuf {
 /// Parse a store file name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StoreFile {
-    Wal(u64),
+    /// A write-ahead log left by a store from before sealed-only
+    /// stores (always empty there); see recovery step 1.
+    Wal,
     Seg(u64),
     Run(u64, u64),
     Tmp,
@@ -115,7 +99,7 @@ fn parse_name(name: &str) -> Option<StoreFile> {
         .strip_prefix("wal-")
         .and_then(|s| s.strip_suffix(".wal"))
     {
-        return n.parse().ok().map(StoreFile::Wal);
+        return n.parse::<u64>().ok().map(|_| StoreFile::Wal);
     }
     if let Some(n) = name
         .strip_prefix("seg-")
@@ -136,25 +120,23 @@ fn parse_name(name: &str) -> Option<StoreFile> {
 /// Segmented, compacting persistent store for `T`.
 ///
 /// See the crate docs for the on-disk layout and the crash-consistency
-/// contract. All appends go through an active WAL; [`Self::append_sealed`]
-/// bypasses it to commit a batch as one atomic segment.
-pub struct SegmentedBackend<T: Persist + Clone> {
+/// contract. Every write is one [`Self::append_sealed`] batch, committed
+/// as one atomic segment; the order [`Self::open`] returns is the order
+/// the batches were committed in.
+pub struct SegmentedBackend<T: Persist> {
     opts: SegmentedOptions,
     catalog: Arc<Mutex<Catalog>>,
-    active: WalWriter<T>,
-    active_gen: u64,
-    /// In-memory mirror of the active WAL, bounded by `rotate_bytes`;
-    /// sealing re-encodes from here instead of re-reading the file.
-    active_items: Vec<T>,
+    /// The generation the next sealed batch is written under.
+    next_gen: u64,
     compactor: Option<Compactor>,
     metrics: StoreMetrics,
+    _items: std::marker::PhantomData<fn() -> T>,
 }
 
-impl<T: Persist + Clone> SegmentedBackend<T> {
+impl<T: Persist> SegmentedBackend<T> {
     /// Open (or create) the store in `dir`, running full crash recovery.
-    /// Returns the backend, every record it holds (file order: sorted
-    /// runs, then segments, then replayed WALs by generation), and the
-    /// recovery report. Metrics record into a detached bundle; use
+    /// Returns the backend, every record it holds in commit order, and
+    /// the recovery report. Metrics record into a detached bundle; use
     /// [`Self::open_with_metrics`] to surface them in a shared registry.
     pub fn open(
         dir: &Path,
@@ -165,6 +147,11 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
 
     /// [`Self::open`], recording `store.*` metrics into `metrics` —
     /// including the background compactor's pass durations and bytes.
+    ///
+    /// Fails with [`std::io::ErrorKind::InvalidData`], naming the file
+    /// and before touching the directory, when it holds a non-empty
+    /// `wal-*.wal`: no writer of a sealed-only store ever appended to
+    /// one, so its records have no place in commit order.
     pub fn open_with_metrics(
         dir: &Path,
         opts: SegmentedOptions,
@@ -175,7 +162,8 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         let workers = available_workers();
         let mut stats = RecoveryStats::default();
 
-        let mut wals: Vec<u64> = Vec::new();
+        let mut tmps: Vec<PathBuf> = Vec::new();
+        let mut wals: Vec<PathBuf> = Vec::new();
         let mut segs: Vec<u64> = Vec::new();
         let mut runs: Vec<(u64, u64)> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -183,22 +171,40 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             match parse_name(name) {
-                Some(StoreFile::Tmp) => {
-                    // Interrupted atomic write: never renamed, never live.
-                    std::fs::remove_file(entry.path())?;
-                    stats.partial_files_discarded += 1;
-                }
-                Some(StoreFile::Wal(n)) => wals.push(n),
+                Some(StoreFile::Tmp) => tmps.push(entry.path()),
+                Some(StoreFile::Wal) => wals.push(entry.path()),
                 Some(StoreFile::Seg(n)) => segs.push(n),
                 Some(StoreFile::Run(a, b)) => runs.push((a, b)),
                 None => {}
             }
         }
-        wals.sort_unstable();
         segs.sort_unstable();
         runs.sort_unstable();
 
-        // 1. Validate runs; keep the widest, discard contained ones.
+        // 1. WALs: a store written before sealed-only stores holds one
+        //    empty `wal-N.wal`, which goes. A non-empty one is refused
+        //    before anything is removed.
+        for path in &wals {
+            if std::fs::metadata(path)?.len() > 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{}: non-empty write-ahead log in a sealed-only store",
+                        path.display()
+                    ),
+                ));
+            }
+        }
+        for path in wals {
+            std::fs::remove_file(path)?;
+        }
+        for path in tmps {
+            // Interrupted atomic write: never renamed, never live.
+            std::fs::remove_file(path)?;
+            stats.partial_files_discarded += 1;
+        }
+
+        // 2. Validate runs; keep the widest, discard contained ones.
         let mut valid_runs: Vec<(u64, u64, Vec<T>)> = Vec::new();
         for (a, b) in runs {
             let path = run_path(dir, a, b);
@@ -223,14 +229,12 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
                 kept_runs.push((a, b, items));
             }
         }
-        let covered =
-            |g: u64, kept: &[(u64, u64, Vec<T>)]| kept.iter().any(|&(a, b, _)| a <= g && g <= b);
 
-        // 2. Segments: drop ones a run supersedes; salvage torn ones.
+        // 3. Segments: drop ones a run supersedes; salvage torn ones.
         let mut live_segs: Vec<(u64, Vec<T>)> = Vec::new();
         for n in segs {
             let path = seg_path(dir, n);
-            if covered(n, &kept_runs) {
+            if kept_runs.iter().any(|&(a, b, _)| a <= n && n <= b) {
                 std::fs::remove_file(&path)?;
                 stats.superseded_files_removed += 1;
                 continue;
@@ -238,50 +242,16 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
             match read_segment_with::<T>(&path, workers)? {
                 SegmentRead::Valid(items) => live_segs.push((n, items)),
                 SegmentRead::Partial(prefix) => {
+                    // Renamed into place only after fsync, so the file
+                    // was whole once and has been damaged since. Keep
+                    // the intact frame prefix and rewrite the file so
+                    // it is valid again.
                     stats.partial_files_discarded += 1;
-                    if wals.contains(&n) {
-                        // The seal never completed; the WAL still holds
-                        // everything. Drop the partial segment.
-                        std::fs::remove_file(&path)?;
-                    } else {
-                        // No WAL to fall back to (it was already removed,
-                        // so the segment *was* fully written once and has
-                        // since been damaged). Keep the intact prefix and
-                        // rewrite the file so it is valid again.
-                        write_segment(&path, &prefix)?;
-                        live_segs.push((n, prefix));
-                    }
+                    write_segment(&path, &prefix)?;
+                    live_segs.push((n, prefix));
                 }
             }
         }
-
-        // 3. WALs: a sibling segment or covering run means the seal
-        //    completed — drop the WAL. Otherwise replay and seal it now.
-        let mut max_gen: Option<u64> = None;
-        for &g in wals
-            .iter()
-            .chain(live_segs.iter().map(|(n, _)| n))
-            .chain(kept_runs.iter().map(|(_, b, _)| b))
-        {
-            max_gen = Some(max_gen.map_or(g, |m: u64| m.max(g)));
-        }
-        for n in wals {
-            let path = wal_path(dir, n);
-            if covered(n, &kept_runs) || live_segs.iter().any(|&(s, _)| s == n) {
-                std::fs::remove_file(&path)?;
-                stats.interrupted_rotations_completed += 1;
-                continue;
-            }
-            let (items, replay) = WalReader::<T>::open(&path)?.replay()?;
-            stats.wal_records_replayed += replay.records;
-            stats.wal_tail_bytes_discarded += replay.corrupt_tail_bytes;
-            if !items.is_empty() {
-                write_segment(&seg_path(dir, n), &items)?;
-                live_segs.push((n, items));
-            }
-            std::fs::remove_file(&path)?;
-        }
-        live_segs.sort_by_key(|&(n, _)| n);
 
         // 4. Build the catalog and the in-memory record image.
         stats.runs_loaded = kept_runs.len();
@@ -315,8 +285,7 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         let records: Vec<T> = loaded.into_values().flatten().collect();
         stats.records_loaded = records.len() as u64;
 
-        let active_gen = max_gen.map_or(0, |m| m + 1);
-        let active = WalWriter::append_to(&wal_path(dir, active_gen))?;
+        let next_gen = files.values().next_back().map_or(0, |f| f.end + 1);
         let catalog = Arc::new(Mutex::new(Catalog {
             dir: dir.to_path_buf(),
             files,
@@ -334,11 +303,10 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         let backend = Self {
             opts,
             catalog,
-            active,
-            active_gen,
-            active_items: Vec::new(),
+            next_gen,
             compactor,
             metrics,
+            _items: std::marker::PhantomData,
         };
         if let Some(span) = &mut span {
             span.annotate(
@@ -359,93 +327,30 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
         }
     }
 
-    fn dir(&self) -> PathBuf {
-        self.catalog.lock().expect("catalog lock").dir.clone()
-    }
-
-    /// Seal the active WAL into `seg-<gen>.seg` and start a fresh WAL.
-    /// No-op when the active WAL is empty.
-    fn rotate(&mut self) -> std::io::Result<()> {
-        if self.active_items.is_empty() {
-            return Ok(());
-        }
-        let dir = self.dir();
-        let gen = self.active_gen;
-        // Make the WAL itself durable first: until the segment rename
-        // lands, the WAL is the only copy.
-        let fsync_start = Instant::now();
-        self.active.sync()?;
-        self.metrics
-            .wal_fsync_ns
-            .record_duration(fsync_start.elapsed());
-        let seal_start = Instant::now();
-        write_segment(&seg_path(&dir, gen), &self.active_items)?;
-        {
-            let mut catalog = self.catalog.lock().expect("catalog lock");
-            catalog.files.insert(
-                gen,
-                SealedFile {
-                    start: gen,
-                    end: gen,
-                    path: seg_path(&dir, gen),
-                    kind: FileKind::Segment,
-                },
-            );
-        }
-        self.metrics
-            .segment_seal_ns
-            .record_duration(seal_start.elapsed());
-        self.metrics.segments_sealed.inc();
-        // Segment is durable: swap in a fresh WAL, then drop the old
-        // one. A failed unlink is survivable — recovery drops a WAL
-        // superseded by its sibling segment — so it must not fail a
-        // rotation whose segment already landed.
-        self.active_gen += 1;
-        self.active = WalWriter::append_to(&wal_path(&dir, self.active_gen))?;
-        self.active_items.clear();
-        if std::fs::remove_file(wal_path(&dir, gen)).is_err() {
-            self.metrics.io_errors.inc();
-        }
-        sync_parent_dir(&wal_path(&dir, gen));
-        self.notify_compactor();
-        Ok(())
-    }
-
     /// Commit `items` as one atomic sealed segment: after a crash either
-    /// the entire batch is recovered or none of it. Any pending active-WAL
-    /// content is rotated out first so global record order is preserved.
-    /// Returns the generation the batch was sealed under.
+    /// the entire batch is recovered, after every batch committed before
+    /// it, or none of it. Returns the generation the batch was sealed
+    /// under.
     pub fn append_sealed(&mut self, items: &[T]) -> std::io::Result<u64> {
-        self.rotate()?;
-        let dir = self.dir();
-        let gen = self.active_gen;
+        let gen = self.next_gen;
+        let dir = self.catalog.lock().expect("catalog lock").dir.clone();
+        let path = seg_path(&dir, gen);
         let seal_start = Instant::now();
-        write_segment(&seg_path(&dir, gen), items)?;
-        {
-            let mut catalog = self.catalog.lock().expect("catalog lock");
-            catalog.files.insert(
-                gen,
-                SealedFile {
-                    start: gen,
-                    end: gen,
-                    path: seg_path(&dir, gen),
-                    kind: FileKind::Segment,
-                },
-            );
-        }
+        write_segment(&path, items)?;
+        self.catalog.lock().expect("catalog lock").files.insert(
+            gen,
+            SealedFile {
+                start: gen,
+                end: gen,
+                path,
+                kind: FileKind::Segment,
+            },
+        );
+        self.next_gen += 1;
         self.metrics
             .segment_seal_ns
             .record_duration(seal_start.elapsed());
         self.metrics.segments_sealed.inc();
-        // The sealed segment took over this generation; move the (empty)
-        // active WAL past it. As in `rotate`, a failed unlink of the
-        // superseded WAL is survivable and must not fail the commit.
-        let old_wal = wal_path(&dir, gen);
-        self.active_gen += 1;
-        self.active = WalWriter::append_to(&wal_path(&dir, self.active_gen))?;
-        if std::fs::remove_file(&old_wal).is_err() {
-            self.metrics.io_errors.inc();
-        }
         self.notify_compactor();
         Ok(gen)
     }
@@ -477,41 +382,9 @@ impl<T: Persist + Clone> SegmentedBackend<T> {
     }
 }
 
-impl<T: Persist + Clone> StorageBackend<T> for SegmentedBackend<T> {
-    fn append_batch(&mut self, items: &[T]) -> std::io::Result<()> {
-        for item in items {
-            self.active.append(item)?;
-            self.active_items.push(item.clone());
-            if self.active.bytes_written() >= self.opts.rotate_bytes {
-                self.rotate()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.active.flush()
-    }
-
-    fn sync(&mut self) -> std::io::Result<()> {
-        let fsync_start = Instant::now();
-        self.active.sync()?;
-        self.metrics
-            .wal_fsync_ns
-            .record_duration(fsync_start.elapsed());
-        Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "segmented"
-    }
-}
-
-impl<T: Persist + Clone> Drop for SegmentedBackend<T> {
+impl<T: Persist> Drop for SegmentedBackend<T> {
     fn drop(&mut self) {
-        // Push buffered frames to the OS so a clean shutdown keeps
-        // everything; a real crash is what recovery is for.
-        let _ = self.active.flush();
+        // Queued passes run before the worker exits.
         if let Some(compactor) = self.compactor.take() {
             compactor.shutdown();
         }
@@ -522,10 +395,10 @@ impl<T: Persist + Clone> Drop for SegmentedBackend<T> {
 mod tests {
     use super::*;
     use crate::testitem::{temp_dir, TestItem};
+    use crate::WalWriter;
 
-    fn opts_foreground(rotate_bytes: u64, compact_min_files: usize) -> SegmentedOptions {
+    fn opts_foreground(compact_min_files: usize) -> SegmentedOptions {
         SegmentedOptions {
-            rotate_bytes,
             compact_min_files,
             background_compaction: false,
         }
@@ -542,118 +415,87 @@ mod tests {
         (segs, catalog.files.len() - segs)
     }
 
-    fn items(range: std::ops::Range<u64>) -> Vec<TestItem> {
-        range.map(TestItem::new).collect()
+    /// `n` batches of `size` items whose keys *descend* across the
+    /// whole sequence, so any sort by key would reverse commit order.
+    fn batches(n: u64, size: u64) -> Vec<Vec<TestItem>> {
+        (0..n)
+            .map(|b| {
+                (0..size)
+                    .map(|i| TestItem::new(n * size - (b * size + i)))
+                    .collect()
+            })
+            .collect()
     }
 
-    fn sorted(mut v: Vec<TestItem>) -> Vec<TestItem> {
-        v.sort();
-        v
+    fn seal_all(b: &mut SegmentedBackend<TestItem>, batches: &[Vec<TestItem>]) {
+        for batch in batches {
+            b.append_sealed(batch).unwrap();
+        }
+    }
+
+    fn wal_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+            .collect()
     }
 
     #[test]
-    fn append_rotate_reopen_round_trip() {
+    fn sealed_batches_reopen_in_commit_order_and_leave_no_wal() {
         let dir = temp_dir("segb-rt");
-        let all = items(0..500);
+        let all = batches(6, 7);
         {
             let (mut b, recovered, _) =
-                SegmentedBackend::<TestItem>::open(&dir, opts_foreground(256, usize::MAX)).unwrap();
+                SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
             assert!(recovered.is_empty());
-            for chunk in all.chunks(7) {
-                b.append_batch(chunk).unwrap();
+            for (i, batch) in all.iter().enumerate() {
+                assert_eq!(b.append_sealed(batch).unwrap(), i as u64);
             }
-            b.sync().unwrap();
-            let (segs, runs) = file_census(&b);
-            assert!(segs > 1, "tiny rotate threshold must produce segments");
-            assert_eq!(runs, 0);
+            assert_eq!(file_census(&b), (6, 0));
         }
-        let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(256, usize::MAX)).unwrap();
-        assert_eq!(sorted(recovered), all);
-        assert_eq!(stats.records_loaded, 500);
-        assert_eq!(stats.wal_tail_bytes_discarded, 0);
+        let (mut b, recovered, stats) =
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(recovered, all.concat());
+        assert_eq!(stats.records_loaded, 42);
+        assert_eq!(stats.segments_loaded, 6);
+        assert_eq!(b.append_sealed(&[]).unwrap(), 6, "generations continue");
+        assert!(wal_files(&dir).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn record_order_is_preserved_without_compaction() {
-        let dir = temp_dir("segb-order");
-        let all = items(0..200);
-        {
-            let (mut b, _, _) =
-                SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, usize::MAX)).unwrap();
-            b.append_batch(&all).unwrap();
-            b.sync().unwrap();
-        }
-        let (_b, recovered, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, usize::MAX)).unwrap();
-        // No compaction ran, so arrival order survives verbatim.
-        assert_eq!(recovered, all);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn foreground_compaction_merges_to_one_sorted_run() {
+    fn foreground_compaction_concatenates_in_generation_order() {
         let dir = temp_dir("segb-compact");
-        let all = items(0..300);
-        let (mut b, _, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
-        b.append_batch(&all).unwrap();
-        b.sync().unwrap();
-        let (segs_before, _) = file_census(&b);
-        assert!(segs_before >= 2);
+        let all = batches(5, 20);
+        let (mut b, _, _) = SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
+        seal_all(&mut b, &all);
         assert!(b.compact_now().unwrap());
-        let (segs, runs) = file_census(&b);
-        assert_eq!((segs, runs), (0, 1));
+        assert_eq!(file_census(&b), (0, 1));
         drop(b);
 
         let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
         assert_eq!(stats.runs_loaded, 1);
-        assert_eq!(sorted(recovered.clone()), all);
-        // The run region is sorted by Persist::order.
-        let run_len = recovered.len() - (stats.wal_records_replayed as usize);
-        for w in recovered[..run_len].windows(2) {
-            assert!(TestItem::order(&w[0], &w[1]) != std::cmp::Ordering::Greater);
-        }
+        assert_eq!(recovered, all.concat(), "a run keeps commit order");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_then_more_appends_then_compaction_again() {
         let dir = temp_dir("segb-recompact");
-        let (mut b, _, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
-        b.append_batch(&items(0..150)).unwrap();
+        let all = batches(10, 15);
+        let (mut b, _, _) = SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
+        seal_all(&mut b, &all[..5]);
         assert!(b.compact_now().unwrap());
-        b.append_batch(&items(150..300)).unwrap();
-        b.sync().unwrap();
+        seal_all(&mut b, &all[5..]);
         // Now: one run + fresh segments. Compact again merges run + segs.
         assert!(b.compact_now().unwrap());
-        let (segs, runs) = file_census(&b);
-        assert_eq!((segs, runs), (0, 1));
+        assert_eq!(file_census(&b), (0, 1));
         drop(b);
         let (_b, recovered, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
-        assert_eq!(sorted(recovered), items(0..300));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_sealed_is_atomic_and_ordered() {
-        let dir = temp_dir("segb-sealed");
-        let (mut b, _, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        b.append_batch(&items(0..10)).unwrap();
-        let gen = b.append_sealed(&items(10..20)).unwrap();
-        assert!(gen > 0, "pending WAL content must rotate out first");
-        b.append_batch(&items(20..30)).unwrap();
-        b.sync().unwrap();
-        drop(b);
-        let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(recovered, items(0..30), "sealed batch keeps global order");
-        assert!(stats.segments_loaded >= 2);
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
+        assert_eq!(recovered, all.concat());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -661,16 +503,15 @@ mod tests {
     fn background_compaction_eventually_merges() {
         let dir = temp_dir("segb-bg");
         let opts = SegmentedOptions {
-            rotate_bytes: 128,
             compact_min_files: 2,
             background_compaction: true,
         };
+        let all = batches(20, 20);
         let (mut b, _, _) = SegmentedBackend::<TestItem>::open(&dir, opts).unwrap();
-        b.append_batch(&items(0..400)).unwrap();
-        b.sync().unwrap();
+        seal_all(&mut b, &all);
         // Tiered compaction may legitimately leave a dominant run plus a
         // straggler or two; what must happen is that passes run and the
-        // file count collapses well below the rotation count.
+        // file count collapses well below the append count.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
             let (segs, runs) = file_census(&b);
@@ -685,26 +526,23 @@ mod tests {
         }
         drop(b);
         let (b, recovered, _) = SegmentedBackend::<TestItem>::open(&dir, opts).unwrap();
-        assert_eq!(sorted(recovered), items(0..400));
+        assert_eq!(recovered, all.concat());
         // The reopened backend's compactor must be joined before the
         // unlink, or a pass can write into the directory being removed.
         drop(b);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // ----------------------------------------------- crash scenarios --
-
     #[test]
     fn tiering_spares_a_dominant_run() {
         let dir = temp_dir("segb-tier");
-        let (mut b, _, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
+        let all = batches(12, 40);
+        let (mut b, _, _) = SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
         // Build a large run…
-        b.append_batch(&items(0..400)).unwrap();
+        seal_all(&mut b, &all[..10]);
         assert!(b.compact_now().unwrap());
-        let (_, runs) = file_census(&b);
-        assert_eq!(runs, 1);
-        let run_sizes = |dir: &std::path::Path| -> Vec<u64> {
+        assert_eq!(file_census(&b), (0, 1));
+        let run_sizes = |dir: &Path| -> Vec<u64> {
             let mut sizes: Vec<u64> = std::fs::read_dir(dir)
                 .unwrap()
                 .map(|e| e.unwrap().path())
@@ -717,10 +555,7 @@ mod tests {
         let big_run_bytes = run_sizes(&dir)[0];
         // …then trickle in a little new data: the pass must merge only
         // the new segments, leaving the big run untouched.
-        b.append_batch(&items(400..440)).unwrap();
-        b.sync().unwrap();
-        let (segs_before, _) = file_census(&b);
-        assert!(segs_before >= 2, "need at least two fresh segments");
+        seal_all(&mut b, &all[10..]);
         assert!(b.compact_now().unwrap());
         let (segs, runs) = file_census(&b);
         assert_eq!(segs, 0, "fresh segments merged");
@@ -732,83 +567,76 @@ mod tests {
         );
         drop(b);
         let (_b, recovered, _) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(128, 2)).unwrap();
-        assert_eq!(sorted(recovered), items(0..440));
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(2)).unwrap();
+        assert_eq!(recovered, all.concat());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // ----------------------------------------------- crash scenarios --
+
+    #[test]
+    fn layout_with_an_empty_wal_opens_to_the_same_items() {
+        // What stores written before sealed-only stores look like: sealed
+        // segments and runs plus one empty active `wal-N.wal`, N one past
+        // the newest sealed generation.
+        let dir = temp_dir("segb-legacy");
+        let all = batches(5, 8);
+        write_segment(&run_path(&dir, 0, 2), &all[..3].concat()).unwrap();
+        write_segment(&seg_path(&dir, 3), &all[3]).unwrap();
+        write_segment(&seg_path(&dir, 4), &all[4]).unwrap();
+        drop(WalWriter::<TestItem>::append_to(&dir.join("wal-0000000005.wal")).unwrap());
+
+        let (mut b, recovered, stats) =
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(recovered, all.concat());
+        assert_eq!((stats.runs_loaded, stats.segments_loaded), (1, 2));
+        assert_eq!(stats.partial_files_discarded, 0);
+        assert!(wal_files(&dir).is_empty(), "the empty WAL is removed");
+        assert_eq!(b.append_sealed(&[]).unwrap(), 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn recovery_interrupted_rotation_segment_and_wal_both_present() {
-        let dir = temp_dir("segb-crash-rot");
-        // Build a real store with one sealed segment, then recreate the
-        // source WAL beside it — the state a kill between segment rename
-        // and WAL unlink leaves behind.
-        let all = items(0..50);
-        {
-            let (mut b, _, _) =
-                SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1, usize::MAX)).unwrap();
-            b.append_batch(&all).unwrap(); // rotates immediately (threshold 1)
-        }
-        // seg-0 exists; resurrect wal-0 with the same records.
-        let mut w = WalWriter::<TestItem>::append_to(&wal_path(&dir, 0)).unwrap();
-        for item in &all {
-            w.append(item).unwrap();
-        }
+    fn non_empty_wal_is_refused_before_anything_is_removed() {
+        let dir = temp_dir("segb-wal-refused");
+        write_segment(&seg_path(&dir, 0), &batches(1, 4)[0]).unwrap();
+        std::fs::write(dir.join("seg-0000000001.seg.tmp"), b"half-written").unwrap();
+        let wal = dir.join("wal-0000000001.wal");
+        let mut w = WalWriter::<TestItem>::append_to(&wal).unwrap();
+        w.append(&TestItem::new(9)).unwrap();
         w.sync().unwrap();
         drop(w);
 
-        let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1, usize::MAX)).unwrap();
-        assert_eq!(
-            sorted(recovered),
-            all,
-            "completed seal + leftover WAL must not double-count"
-        );
-        assert!(stats.interrupted_rotations_completed >= 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_partial_segment_with_wal_falls_back_to_wal() {
-        let dir = temp_dir("segb-crash-partial");
-        let all = items(0..40);
-        // WAL holds everything; the segment write died partway (simulated
-        // as a truncated segment that *did* get renamed — harsher than
-        // the .tmp convention ever produces).
-        let mut w = WalWriter::<TestItem>::append_to(&wal_path(&dir, 0)).unwrap();
-        for item in &all {
-            w.append(item).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
-        write_segment(&seg_path(&dir, 0), &all).unwrap();
-        let seg_bytes = std::fs::read(seg_path(&dir, 0)).unwrap();
-        std::fs::write(seg_path(&dir, 0), &seg_bytes[..seg_bytes.len() / 3]).unwrap();
-
-        let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(sorted(recovered), all, "WAL must cover the torn segment");
-        assert_eq!(stats.partial_files_discarded, 1);
-        assert_eq!(stats.wal_records_replayed, 40);
+        let err = match SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)) {
+            Ok(_) => panic!("a non-empty WAL must be refused"),
+            Err(err) => err,
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("wal-0000000001.wal"), "{err}");
+        assert!(wal.exists());
+        assert!(dir.join("seg-0000000001.seg.tmp").exists());
+        assert!(seg_path(&dir, 0).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn recovery_interrupted_compaction_run_supersedes_inputs() {
         let dir = temp_dir("segb-crash-compact");
-        let all = items(0..120);
+        let all = batches(3, 40);
         // Three sealed segments…
-        write_segment(&seg_path(&dir, 0), &items(0..40)).unwrap();
-        write_segment(&seg_path(&dir, 1), &items(40..80)).unwrap();
-        write_segment(&seg_path(&dir, 2), &items(80..120)).unwrap();
+        for (n, batch) in all.iter().enumerate() {
+            write_segment(&seg_path(&dir, n as u64), batch).unwrap();
+        }
         // …and a completed run over them whose inputs were never deleted.
-        let mut merged = all.clone();
-        merged.sort();
-        write_segment(&run_path(&dir, 0, 2), &merged).unwrap();
+        write_segment(&run_path(&dir, 0, 2), &all.concat()).unwrap();
 
         let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(recovered, merged, "run supersedes its inputs exactly once");
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(
+            recovered,
+            all.concat(),
+            "run supersedes its inputs exactly once"
+        );
         assert_eq!(stats.superseded_files_removed, 3);
         assert_eq!(stats.runs_loaded, 1);
         assert!(!seg_path(&dir, 0).exists());
@@ -818,17 +646,16 @@ mod tests {
     #[test]
     fn recovery_partial_run_keeps_inputs() {
         let dir = temp_dir("segb-crash-runtorn");
-        write_segment(&seg_path(&dir, 0), &items(0..30)).unwrap();
-        write_segment(&seg_path(&dir, 1), &items(30..60)).unwrap();
-        let mut merged = items(0..60);
-        merged.sort();
-        write_segment(&run_path(&dir, 0, 1), &merged).unwrap();
+        let all = batches(2, 30);
+        write_segment(&seg_path(&dir, 0), &all[0]).unwrap();
+        write_segment(&seg_path(&dir, 1), &all[1]).unwrap();
+        write_segment(&run_path(&dir, 0, 1), &all.concat()).unwrap();
         let run_bytes = std::fs::read(run_path(&dir, 0, 1)).unwrap();
         std::fs::write(run_path(&dir, 0, 1), &run_bytes[..run_bytes.len() / 2]).unwrap();
 
         let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(sorted(recovered), items(0..60));
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(recovered, all.concat());
         assert_eq!(stats.partial_files_discarded, 1);
         assert_eq!(stats.segments_loaded, 2);
         assert!(!run_path(&dir, 0, 1).exists());
@@ -838,12 +665,13 @@ mod tests {
     #[test]
     fn recovery_tmp_files_are_deleted() {
         let dir = temp_dir("segb-crash-tmp");
-        write_segment(&seg_path(&dir, 0), &items(0..10)).unwrap();
+        let batch = &batches(1, 10)[0];
+        write_segment(&seg_path(&dir, 0), batch).unwrap();
         std::fs::write(dir.join("seg-0000000001.seg.tmp"), b"half-written").unwrap();
         std::fs::write(dir.join("run-0000000000-0000000000.run.tmp"), b"junk").unwrap();
         let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(recovered, items(0..10));
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(&recovered, batch);
         assert_eq!(stats.partial_files_discarded, 2);
         assert!(!dir.join("seg-0000000001.seg.tmp").exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -852,15 +680,12 @@ mod tests {
     #[test]
     fn recovery_nested_runs_keep_widest() {
         let dir = temp_dir("segb-crash-nested");
-        let mut narrow = items(0..20);
-        narrow.sort();
-        write_segment(&run_path(&dir, 0, 1), &narrow).unwrap();
-        let mut wide = items(0..40);
-        wide.sort();
-        write_segment(&run_path(&dir, 0, 3), &wide).unwrap();
+        let all = batches(4, 10);
+        write_segment(&run_path(&dir, 0, 1), &all[..2].concat()).unwrap();
+        write_segment(&run_path(&dir, 0, 3), &all.concat()).unwrap();
         let (_b, recovered, stats) =
-            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(1 << 20, usize::MAX)).unwrap();
-        assert_eq!(recovered, wide);
+            SegmentedBackend::<TestItem>::open(&dir, opts_foreground(usize::MAX)).unwrap();
+        assert_eq!(recovered, all.concat());
         assert_eq!(stats.superseded_files_removed, 1);
         assert_eq!(stats.runs_loaded, 1);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -170,7 +170,6 @@ fn decode_block<T: Persist>(data: &[u8], block: &[(usize, usize)], out: &mut Vec
 #[derive(Debug)]
 pub struct WalWriter<T: Persist> {
     out: BufWriter<File>,
-    bytes: u64,
     /// Buffer the next frame is encoded into, reused across appends.
     frame: Vec<u8>,
     _marker: PhantomData<fn(&T)>,
@@ -180,10 +179,8 @@ impl<T: Persist> WalWriter<T> {
     /// Open `path` for appending (creating it if needed).
     pub fn append_to(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let bytes = file.metadata()?.len();
         Ok(Self {
             out: BufWriter::new(file),
-            bytes,
             frame: Vec::new(),
             _marker: PhantomData,
         })
@@ -193,7 +190,6 @@ impl<T: Persist> WalWriter<T> {
     pub fn append(&mut self, item: &T) -> std::io::Result<()> {
         self.frame.clear();
         put_frame(&mut self.frame, |out| item.encode_into(out));
-        self.bytes += self.frame.len() as u64;
         self.out.write_all(&self.frame)
     }
 
@@ -207,11 +203,6 @@ impl<T: Persist> WalWriter<T> {
         self.out.flush()?;
         self.out.get_ref().sync_all()
     }
-
-    /// Bytes written to this log so far (including pre-existing content).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
 }
 
 /// Replaying reader.
@@ -222,8 +213,8 @@ pub struct WalReader<T: Persist> {
 }
 
 impl<T: Persist> WalReader<T> {
-    /// Read the whole log into memory (logs are bounded by the rotation
-    /// threshold in segmented stores, and by campaign size otherwise).
+    /// Read the whole log into memory (an ingest shard's log is bounded
+    /// by its campaign's size).
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let mut data = Vec::new();
         File::open(path)?.read_to_end(&mut data)?;
@@ -267,7 +258,6 @@ mod tests {
                 w.append(&TestItem::new(i)).unwrap();
             }
             w.flush().unwrap();
-            assert!(w.bytes_written() > 0);
         }
         let (items, stats) = WalReader::<TestItem>::open(&path)
             .unwrap()
@@ -310,21 +300,6 @@ mod tests {
         for (i, item) in items.iter().enumerate() {
             assert_eq!(*item, TestItem::new(i as u64));
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bytes_written_resumes_across_reopen() {
-        let dir = temp_dir("wal-resume");
-        let path = dir.join("resume.wal");
-        let first = {
-            let mut w = WalWriter::<TestItem>::append_to(&path).unwrap();
-            w.append(&TestItem::new(1)).unwrap();
-            w.flush().unwrap();
-            w.bytes_written()
-        };
-        let w = WalWriter::<TestItem>::append_to(&path).unwrap();
-        assert_eq!(w.bytes_written(), first);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
